@@ -9,13 +9,17 @@
 //     the paper-facing axis: upload shrinks from Theta(n) bits to
 //     O(lambda log n) bytes while the answer stays one block per replica.
 //
-//   dpf_pir_scan            — the server-side kernel: full-domain key
-//     expansion time and SelectXorScan GiB/s per kernel variant over a
-//     64 MiB arena (the Theta(n) work the PIR lower bound keeps, moved
-//     into the vectorized scan).
+//   dpf_pir_scan            — one query split by stage at n = 2^20: key
+//     generation (gen_us), key bytes on the wire per server (key_bytes),
+//     full-domain key expansion (eval_full_ms) and the SelectXorScan of a
+//     64 MiB arena (scan_ms for the active kernel variant, GiB/s for every
+//     variant) — the Theta(n) work the PIR lower bound keeps.
 //
 //   dpf_pir_socket          — measured ms/op with the key crossing the
-//     real wire codec into the in-process socketpair server.
+//     real wire codec into the in-process socketpair server, next to the
+//     socket's own time per replica exchange (a query is two concurrent
+//     exchanges, one per replica).
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <iostream>
@@ -61,9 +65,7 @@ void QueryBandwidthSweep() {
   constexpr size_t kBlockSize = 16;
   for (uint64_t log_n = 14; log_n <= 22; log_n += 2) {
     const uint64_t n = uint64_t{1} << log_n;
-    // One query is seconds of ChaCha at the top size; scale the repeat
-    // count down as the eval cost scales up.
-    const int queries = log_n <= 16 ? 4 : (log_n <= 20 ? 2 : 1);
+    constexpr int queries = 8;
     auto s0 = MakeReplica(n, kBlockSize);
     auto s1 = MakeReplica(n, kBlockSize);
     TwoServerDpfPir pir(s0.get(), s1.get());
@@ -137,17 +139,37 @@ void ServerScanStudy() {
   for (size_t i = 0; i < arena.size(); ++i) {
     arena[i] = static_cast<uint8_t>(rng.Uniform(256));
   }
-  auto keys = crypto::DpfGen(rng.Uniform(kCount), kDepth);
-  DPSTORE_CHECK_OK(keys.status());
-
-  const auto expand_start = Clock::now();
-  const std::vector<uint64_t> bits = crypto::DpfEvalFull(keys->key0);
-  const double expand_ms = ElapsedMs(expand_start);
+  // Medians over repeated calls: each stage is well under a millisecond
+  // at this depth except the scan, so one sample would be mostly noise.
+  auto median = [](std::vector<double> v) {
+    std::sort(v.begin(), v.end());
+    return v[v.size() / 2];
+  };
+  std::vector<double> gen_us;
+  crypto::DpfKeyPair keys;
+  for (int trial = 0; trial < 101; ++trial) {
+    const auto start = Clock::now();
+    auto gen = crypto::DpfGen(rng.Uniform(kCount), kDepth);
+    gen_us.push_back(ElapsedMs(start) * 1000.0);
+    DPSTORE_CHECK_OK(gen.status());
+    keys = *std::move(gen);
+  }
+  std::vector<double> expand_ms;
+  std::vector<uint64_t> bits;
+  for (int trial = 0; trial < 11; ++trial) {
+    const auto start = Clock::now();
+    bits = crypto::DpfEvalFull(keys.key0);
+    expand_ms.push_back(ElapsedMs(start));
+  }
+  const double eval_full_ms = median(expand_ms);
+  const size_t key_bytes = keys.key0.Serialize().size();
 
   bench::BenchJson cell("dpf_pir_scan");
   cell.Metric("n", kCount);
   cell.Metric("block_size", kBlockSize);
-  cell.Metric("eval_full_ms", expand_ms);
+  cell.Metric("gen_us", median(gen_us));
+  cell.Metric("key_bytes", key_bytes);
+  cell.Metric("eval_full_ms", eval_full_ms);
   TablePrinter table({"variant", "scan GiB/s"});
   for (kernels::Variant v :
        {kernels::Variant::kScalar, kernels::Variant::kSse2,
@@ -169,13 +191,15 @@ void ServerScanStudy() {
                         (best_ms / 1000.0) /
                         static_cast<double>(size_t{1} << 30);
     cell.Metric(std::string(kernels::VariantName(v)) + "_gib_s", gibs);
+    if (v == kernels::ActiveVariant()) cell.Metric("scan_ms", best_ms);
     table.AddRow().AddCell(kernels::VariantName(v)).AddDouble(gibs, 2);
   }
   cell.Metric("active_variant",
               std::string(kernels::VariantName(kernels::ActiveVariant())));
   table.Print(std::cout);
-  std::cout << "Key expansion (EvalFull, depth " << unsigned{kDepth}
-            << "): " << expand_ms << " ms\n";
+  std::cout << "Key generation: " << median(gen_us) << " us; key "
+            << key_bytes << " B per server; key expansion (EvalFull, depth "
+            << unsigned{kDepth} << "): " << eval_full_ms << " ms\n";
   cell.Emit();
 }
 
@@ -201,16 +225,21 @@ void SocketStudy() {
   }
   const double wall_ms = ElapsedMs(start) / kQueries;
   const TransportStats stats = (*scheme)->TransportTotals();
+  // measured_wall_ms sums every exchange's submit-to-reply time, and the
+  // two replicas' exchanges of one query overlap, so dividing by queries
+  // would count each query's socket time twice. Report it per exchange.
+  const double exchanges = static_cast<double>(stats.roundtrips);
+  const double socket_ms = stats.measured_wall_ms / exchanges;
   bench::BenchJson cell("dpf_pir_socket");
   cell.Metric("n", config.n);
   cell.Metric("queries", kQueries);
   cell.Metric("wall_ms_per_op", wall_ms);
-  cell.Metric("socket_ms_per_op", stats.measured_wall_ms / kQueries);
+  cell.Metric("exchanges_per_op", exchanges / kQueries);
+  cell.Metric("socket_ms_per_exchange", socket_ms);
   cell.Metric("aux_bytes_per_op",
               static_cast<double>(stats.aux_bytes) / kQueries);
-  std::cout << "measured " << wall_ms << " ms/op ("
-            << stats.measured_wall_ms / kQueries
-            << " ms/op on the socket itself)\n";
+  std::cout << "measured " << wall_ms << " ms/op (" << socket_ms
+            << " ms per replica exchange on the socket itself)\n";
   cell.Emit();
 }
 

@@ -1,5 +1,6 @@
 #include "crypto/dpf.h"
 
+#include <algorithm>
 #include <cstring>
 #include <string>
 
@@ -26,20 +27,49 @@ struct Children {
   uint8_t t_right = 0;
 };
 
-/// The length-doubling PRG: one ChaCha20 block keyed by the node seed
-/// (zero-padded to the 32-byte cipher key), fixed nonce, counter 0.
-Children Expand(const Seed& seed) {
+ChaChaKey CipherKey(const Seed& seed) {
   ChaChaKey key{};
   std::memcpy(key.data(), seed.data(), kDpfSeedSize);
-  ChaChaNonce nonce{};  // all-zero: the seed is fresh per node
+  return key;
+}
+
+/// The length-doubling PRG: one ChaCha20 block keyed by the node seed
+/// (zero-padded to the 32-byte cipher key), zero nonce, counter 0.
+Children Expand(const Seed& seed) {
+  const ChaChaNonce nonce{};  // all-zero: the seed is fresh per node
   uint8_t block[kChaChaBlockSize];
-  ChaCha20Block(key, nonce, 0, block);
+  ChaCha20Block(CipherKey(seed), nonce, 0, block);
   Children c;
   std::memcpy(c.left.data(), block, kDpfSeedSize);
   std::memcpy(c.right.data(), block + kDpfSeedSize, kDpfSeedSize);
   c.t_left = block[2 * kDpfSeedSize] & 1;
   c.t_right = block[2 * kDpfSeedSize + 1] & 1;
   return c;
+}
+
+/// The leaf conversion: the same key and nonce at counter 1, so the output
+/// bits never reuse keystream that Expand turned into seeds or bits.
+void Convert(const Seed& seed, uint8_t out[kDpfLeafBytes]) {
+  static_assert(kDpfLeafBytes == kChaChaBlockSize);
+  const ChaChaNonce nonce{};
+  ChaCha20Block(CipherKey(seed), nonce, 1, out);
+}
+
+/// One party's output block at a leaf: Convert(s), corrected when t = 1.
+void LeafBlock(const DpfKey& key, const Node& leaf,
+               uint8_t out[kDpfLeafBytes]) {
+  Convert(leaf.s, out);
+  if (leaf.t) {
+    for (size_t i = 0; i < kDpfLeafBytes; ++i) {
+      out[i] = static_cast<uint8_t>(out[i] ^ key.output_cw[i]);
+    }
+  }
+}
+
+inline uint64_t LoadLe64(const uint8_t* p) {
+  uint64_t v = 0;
+  for (int i = 7; i >= 0; --i) v = (v << 8) | p[i];
+  return v;
 }
 
 inline void XorSeed(Seed& dst, const Seed& src) {
@@ -75,8 +105,8 @@ Status CheckKey(const DpfKey& key) {
   if (key.depth < 1 || key.depth > kMaxDpfDepth) {
     return InvalidArgumentError("dpf: depth out of range");
   }
-  if (key.cw.size() != key.depth) {
-    return InvalidArgumentError("dpf: correction word count != depth");
+  if (key.cw.size() != DpfTreeLevels(key.depth)) {
+    return InvalidArgumentError("dpf: correction word count != tree levels");
   }
   return OkStatus();
 }
@@ -89,7 +119,7 @@ std::vector<uint8_t> DpfKey::Serialize() const {
   out.push_back('D');
   out.push_back('P');
   out.push_back('F');
-  out.push_back('1');
+  out.push_back('2');
   out.push_back(party);
   out.push_back(depth);
   out.push_back(0);
@@ -100,16 +130,21 @@ std::vector<uint8_t> DpfKey::Serialize() const {
     out.insert(out.end(), c.seed.begin(), c.seed.end());
     out.push_back(static_cast<uint8_t>((c.t_left & 1) | ((c.t_right & 1) << 1)));
   }
+  out.insert(out.end(), output_cw.begin(), output_cw.end());
   return out;
 }
 
 StatusOr<DpfKey> DpfKey::Parse(const uint8_t* data, size_t len) {
-  if (data == nullptr || len < 25) {
+  if (data == nullptr || len < 8) {
     return InvalidArgumentError("dpf: key truncated");
   }
-  if (data[0] != 'D' || data[1] != 'P' || data[2] != 'F' || data[3] != '1') {
+  if (data[0] != 'D' || data[1] != 'P' || data[2] != 'F') {
     return InvalidArgumentError("dpf: bad key magic");
   }
+  if (data[3] == '1') {
+    return InvalidArgumentError("dpf: DPF1 keys are no longer accepted");
+  }
+  if (data[3] != '2') return InvalidArgumentError("dpf: bad key magic");
   DpfKey key;
   key.party = data[4];
   key.depth = data[5];
@@ -127,9 +162,9 @@ StatusOr<DpfKey> DpfKey::Parse(const uint8_t* data, size_t len) {
   const uint8_t root_t = data[24];
   if (root_t > 1) return InvalidArgumentError("dpf: bad control bit");
   key.root_t = root_t;
-  key.cw.resize(key.depth);
+  key.cw.resize(DpfTreeLevels(key.depth));
   const uint8_t* p = data + 25;
-  for (uint8_t i = 0; i < key.depth; ++i) {
+  for (size_t i = 0; i < key.cw.size(); ++i) {
     std::memcpy(key.cw[i].seed.data(), p, kDpfSeedSize);
     const uint8_t bits = p[kDpfSeedSize];
     if (bits > 3) return InvalidArgumentError("dpf: bad control bits");
@@ -137,6 +172,7 @@ StatusOr<DpfKey> DpfKey::Parse(const uint8_t* data, size_t len) {
     key.cw[i].t_right = (bits >> 1) & 1;
     p += kDpfSeedSize + 1;
   }
+  std::memcpy(key.output_cw.data(), p, kDpfLeafBytes);
   return key;
 }
 
@@ -156,13 +192,14 @@ StatusOr<DpfKeyPair> DpfGen(uint64_t alpha, uint8_t depth) {
   pair.key1.root_seed = RandomSeed();
   pair.key0.root_t = 0;
   pair.key1.root_t = 1;
-  pair.key0.cw.resize(depth);
+  const uint8_t levels = DpfTreeLevels(depth);
+  pair.key0.cw.resize(levels);
 
   Seed s0 = pair.key0.root_seed;
   Seed s1 = pair.key1.root_seed;
   uint8_t t0 = 0;
   uint8_t t1 = 1;
-  for (uint8_t i = 0; i < depth; ++i) {
+  for (uint8_t i = 0; i < levels; ++i) {
     const Children c0 = Expand(s0);
     const Children c1 = Expand(s1);
     // MSB-first walk: level i consumes bit (depth - 1 - i) of alpha.
@@ -195,22 +232,49 @@ StatusOr<DpfKeyPair> DpfGen(uint64_t alpha, uint8_t depth) {
     s1 = next1;
     t1 = nt1;
   }
-  pair.key1.cw = pair.key0.cw;  // correction words are shared
+  // t0 ^ t1 = 1 at alpha's leaf, so exactly one party applies output_cw
+  // there and the blocks XOR to the unit vector at alpha's in-leaf offset.
+  uint8_t c0[kDpfLeafBytes];
+  uint8_t c1[kDpfLeafBytes];
+  Convert(s0, c0);
+  Convert(s1, c1);
+  for (size_t i = 0; i < kDpfLeafBytes; ++i) {
+    pair.key0.output_cw[i] = static_cast<uint8_t>(c0[i] ^ c1[i]);
+  }
+  const uint64_t pos = alpha & (kDpfLeafBytes * 8 - 1);
+  pair.key0.output_cw[pos >> 3] ^= static_cast<uint8_t>(1u << (pos & 7));
+  // Correction words are shared.
+  pair.key1.cw = pair.key0.cw;
+  pair.key1.output_cw = pair.key0.output_cw;
   return pair;
 }
 
 std::vector<uint64_t> DpfEvalFull(const DpfKey& key) {
   const Status check = CheckKey(key);
   if (!check.ok()) return {};
-  const uint8_t depth = key.depth;
-  const uint64_t n = uint64_t{1} << depth;
+  const uint8_t levels = DpfTreeLevels(key.depth);
+  const uint64_t n = uint64_t{1} << key.depth;
   std::vector<uint64_t> out((n + 63) / 64, 0);
+
+  // Below kDpfLeafLevels the single leaf block covers the whole domain:
+  // keep its first n bits and leave the rest of the word vector zero.
+  const uint64_t leaf_bits = std::min<uint64_t>(n, kDpfLeafBytes * 8);
+  const size_t leaf_words = static_cast<size_t>((leaf_bits + 63) / 64);
+  const uint64_t last_mask =
+      leaf_bits >= 64 ? ~uint64_t{0} : (uint64_t{1} << leaf_bits) - 1;
+  auto emit = [&](const Node& leaf, uint64_t leaf_index) {
+    uint8_t block[kDpfLeafBytes];
+    LeafBlock(key, leaf, block);
+    uint64_t* dst = out.data() + leaf_index * (kDpfLeafBytes / 8);
+    for (size_t w = 0; w < leaf_words; ++w) dst[w] = LoadLe64(block + 8 * w);
+    dst[leaf_words - 1] &= last_mask;
+  };
 
   // Split the tree into a top section expanded breadth-first once and a
   // set of bottom subtrees expanded one at a time, so the live node set
   // is bounded (~2^kSubDepth seeds) however deep the tree is.
   constexpr uint8_t kSubDepth = 12;
-  const uint8_t split = depth > kSubDepth ? depth - kSubDepth : 0;
+  const uint8_t split = levels > kSubDepth ? levels - kSubDepth : 0;
 
   std::vector<Node> top(1);
   top[0].s = key.root_seed;
@@ -224,42 +288,40 @@ std::vector<uint64_t> DpfEvalFull(const DpfKey& key) {
     top.swap(next);
   }
 
-  // Each top node roots a subtree of sub_n leaves; sub_n is a multiple of
-  // 64 whenever there is more than one subtree (split > 0 implies
-  // depth - split = kSubDepth), so every subtree owns whole output words.
-  const uint8_t sub_depth = depth - split;
-  const uint64_t sub_n = uint64_t{1} << sub_depth;
+  // Each top node roots a subtree of sub_leaves leaves, numbered
+  // left-to-right after the subtrees before it.
+  const uint64_t sub_leaves = uint64_t{1} << (levels - split);
   std::vector<Node> cur;
   for (size_t j = 0; j < top.size(); ++j) {
     cur.assign(1, top[j]);
-    for (uint8_t level = split; level < depth; ++level) {
+    for (uint8_t level = split; level < levels; ++level) {
       next.resize(cur.size() * 2);
       for (size_t k = 0; k < cur.size(); ++k) {
         Step(cur[k], key.cw[level], &next[2 * k], &next[2 * k + 1]);
       }
       cur.swap(next);
     }
-    const uint64_t base = j * sub_n;
-    for (uint64_t k = 0; k < sub_n; ++k) {
-      const uint64_t bit = base + k;
-      out[bit >> 6] |= static_cast<uint64_t>(cur[k].t & 1) << (bit & 63);
-    }
+    for (uint64_t k = 0; k < sub_leaves; ++k) emit(cur[k], j * sub_leaves + k);
   }
   return out;
 }
 
 uint8_t DpfEvalPoint(const DpfKey& key, uint64_t x) {
   if (!CheckKey(key).ok()) return 0;
+  const uint8_t levels = DpfTreeLevels(key.depth);
   Node node;
   node.s = key.root_seed;
   node.t = key.root_t;
   Node left, right;
-  for (uint8_t i = 0; i < key.depth; ++i) {
+  for (uint8_t i = 0; i < levels; ++i) {
     Step(node, key.cw[i], &left, &right);
     const uint8_t bit = static_cast<uint8_t>((x >> (key.depth - 1 - i)) & 1);
     node = bit ? right : left;
   }
-  return node.t;
+  uint8_t block[kDpfLeafBytes];
+  LeafBlock(key, node, block);
+  const uint64_t pos = x & (kDpfLeafBytes * 8 - 1);
+  return static_cast<uint8_t>((block[pos >> 3] >> (pos & 7)) & 1);
 }
 
 }  // namespace crypto

@@ -24,6 +24,7 @@
 #include "pir/dpf_pir.h"
 #include "server_harness.h"
 #include "storage/server.h"
+#include "storage/socket_backend.h"
 
 namespace dpstore {
 namespace {
@@ -153,6 +154,31 @@ TEST(DpfPirTest, AnswersBitIdenticalToXorAndTrivialPirOnEveryBackend) {
     EXPECT_EQ(dpf_stats.aux_bytes % (2 * crypto::DpfKeyBytes(6)), 0u);
     EXPECT_GT(xor_stats.aux_bytes, 0u);
     EXPECT_EQ(dpf_stats.bytes_moved % dpf_stats.blocks_moved, 0u);
+  }
+}
+
+TEST(DpfPirTest, RetiredDpf1KeyIsRejectedInMemoryAndOverTheWire) {
+  // A key in the retired full-tree layout (25 + 17 * depth bytes) gets a
+  // typed InvalidArgument from the engine, also when it crosses the wire
+  // codec as an error frame; the connection keeps serving DPF2 keys.
+  std::vector<uint8_t> dpf1 = {'D', 'P', 'F', '1', 0, 6, 0, 0};
+  dpf1.resize(25 + 17 * 6, 0);
+  auto memory = MakeReplica(kN, kBlockSize);
+  SocketBackend socket(kN, kBlockSize);
+  ASSERT_TRUE(socket.ConnectionStatus().ok());
+  ASSERT_TRUE(socket.SetArray(MakeDatabase(kN, kBlockSize)).ok());
+  auto keys = crypto::DpfGen(/*alpha=*/7, /*depth=*/6);
+  ASSERT_TRUE(keys.ok()) << keys.status();
+  for (StorageBackend* backend :
+       {static_cast<StorageBackend*>(memory.get()),
+        static_cast<StorageBackend*>(&socket)}) {
+    EXPECT_EQ(backend->Exchange(StorageRequest::DpfEvalOf(dpf1))
+                  .status()
+                  .code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_TRUE(
+        backend->Exchange(StorageRequest::DpfEvalOf(keys->key0.Serialize()))
+            .ok());
   }
 }
 
