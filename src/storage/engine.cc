@@ -1,6 +1,7 @@
 #include "storage/engine.h"
 
 #include <dirent.h>
+#include <pthread.h>
 #include <sys/stat.h>
 
 #include <algorithm>
@@ -16,6 +17,40 @@
 #include "util/check.h"
 
 namespace dpstore {
+
+namespace {
+
+/// A writer-preferring reader-writer lock (Lockable and SharedLockable).
+/// glibc's default rwlock — and so std::shared_mutex — lets new readers in
+/// while a writer waits, so back-to-back overlapping evals on a public
+/// namespace could hold off an upload or SetArray forever. Here a waiting
+/// writer blocks new readers. That cannot deadlock in the engine: no
+/// thread re-enters a stripe it holds, and every exchange takes its
+/// stripes in ascending order, so no wait cycle can form.
+class StripeLock {
+ public:
+  StripeLock() {
+    pthread_rwlockattr_t attr;
+    DPSTORE_CHECK(pthread_rwlockattr_init(&attr) == 0);
+    DPSTORE_CHECK(pthread_rwlockattr_setkind_np(
+                      &attr, PTHREAD_RWLOCK_PREFER_WRITER_NONRECURSIVE_NP) == 0);
+    DPSTORE_CHECK(pthread_rwlock_init(&rw_, &attr) == 0);
+    pthread_rwlockattr_destroy(&attr);
+  }
+  ~StripeLock() { pthread_rwlock_destroy(&rw_); }
+  StripeLock(const StripeLock&) = delete;
+  StripeLock& operator=(const StripeLock&) = delete;
+
+  void lock() { DPSTORE_CHECK(pthread_rwlock_wrlock(&rw_) == 0); }
+  void unlock() { DPSTORE_CHECK(pthread_rwlock_unlock(&rw_) == 0); }
+  void lock_shared() { DPSTORE_CHECK(pthread_rwlock_rdlock(&rw_) == 0); }
+  void unlock_shared() { unlock(); }
+
+ private:
+  pthread_rwlock_t rw_;
+};
+
+}  // namespace
 
 /// One namespace: a flat arena plus its stripe locks. Stored behind a
 /// unique_ptr in the engine map so the address is stable for the life of
@@ -62,28 +97,46 @@ struct NamespaceHandle::State {
   uint8_t* const base;         // the live arena bytes, whichever backing
   const size_t stripe_count;
   const uint64_t stripe_width;
-  /// Stripe i guards blocks [i*stripe_width, (i+1)*stripe_width). Mutable
-  /// so Peek (logically const) can lock its stripe.
-  mutable std::vector<std::mutex> locks;
+  /// Stripe i guards blocks [i*stripe_width, (i+1)*stripe_width): shared
+  /// by readers of the arena, exclusive for writers. Mutable so Peek
+  /// (logically const) can lock its stripe.
+  mutable std::vector<StripeLock> locks;
   uint64_t handles = 0;  // guarded by the engine's namespaces_mu_
 };
 
 namespace {
 
+/// How an exchange holds its stripes: kShared for anything that only
+/// reads the arena (downloads, evals, Peek), kExclusive for anything that
+/// writes it (uploads, SetArray, Corrupt, Checkpoint).
+enum class StripeMode { kShared, kExclusive };
+
 /// RAII over the stripes an exchange touches: locks ascending (the
 /// deadlock-freedom order shared by every exchange), unlocks descending.
-/// The touched-set is a 64-bit mask — stack only, no allocation.
+/// All stripes are held at once, so even a whole-arena reader sees one
+/// consistent snapshot. The touched-set is a 64-bit mask — stack only, no
+/// allocation.
 class StripeLockSet {
  public:
-  StripeLockSet(NamespaceHandle::State* ns, uint64_t mask)
-      : ns_(ns), mask_(mask) {
+  StripeLockSet(NamespaceHandle::State* ns, uint64_t mask, StripeMode mode)
+      : ns_(ns), mask_(mask), mode_(mode) {
     for (size_t s = 0; s < ns_->stripe_count; ++s) {
-      if (mask_ & (uint64_t{1} << s)) ns_->locks[s].lock();
+      if ((mask_ & (uint64_t{1} << s)) == 0) continue;
+      if (mode_ == StripeMode::kShared) {
+        ns_->locks[s].lock_shared();
+      } else {
+        ns_->locks[s].lock();
+      }
     }
   }
   ~StripeLockSet() {
     for (size_t s = ns_->stripe_count; s-- > 0;) {
-      if (mask_ & (uint64_t{1} << s)) ns_->locks[s].unlock();
+      if ((mask_ & (uint64_t{1} << s)) == 0) continue;
+      if (mode_ == StripeMode::kShared) {
+        ns_->locks[s].unlock_shared();
+      } else {
+        ns_->locks[s].unlock();
+      }
     }
   }
   StripeLockSet(const StripeLockSet&) = delete;
@@ -92,6 +145,7 @@ class StripeLockSet {
  private:
   NamespaceHandle::State* ns_;
   uint64_t mask_;
+  StripeMode mode_;
 };
 
 uint64_t StripeMaskOf(const NamespaceHandle::State& ns,
@@ -325,7 +379,7 @@ Status StorageEngine::Checkpoint() {
   for (auto& entry : namespaces_) {
     NamespaceHandle::State* state = entry.second.get();
     if (state->marena == nullptr) continue;
-    StripeLockSet held(state, AllStripesMask(*state));
+    StripeLockSet held(state, AllStripesMask(*state), StripeMode::kExclusive);
     DPSTORE_RETURN_IF_ERROR(state->marena->Checkpoint(lsn));
   }
   DPSTORE_RETURN_IF_ERROR(journal_->Truncate());
@@ -452,14 +506,16 @@ StatusOr<StorageReply> StorageEngine::ExecuteValidated(
           " + n=" + std::to_string(state->n));
     }
     // Expand the key OUTSIDE the stripe locks (it is pure computation),
-    // then do the one streaming pass over the arena under all stripes —
-    // the eval must see a consistent snapshot, like SetArray.
+    // then do the one streaming pass over the arena with every stripe held
+    // SHARED: the eval sees a consistent whole-arena snapshot (no upload
+    // can land mid-scan), while evals and downloads on the same namespace
+    // scan concurrently.
     const std::vector<uint64_t> bits = crypto::DpfEvalFull(*key);
     reply.blocks = BlockBuffer::FromPool(pool_, 1, block_size);
     MutableBlockView out = reply.blocks.Mutable(0);
     std::memset(out.data(), 0, out.size());
     if (state->n > 0 && block_size > 0) {
-      StripeLockSet held(state, AllStripesMask(*state));
+      StripeLockSet held(state, AllStripesMask(*state), StripeMode::kShared);
       kernels::SelectXorScan(out.data(), state->base, state->n,
                              block_size, bits.data(), request.dpf_offset);
     }
@@ -475,7 +531,8 @@ StatusOr<StorageReply> StorageEngine::ExecuteValidated(
     reply.blocks = BlockBuffer::FromPool(pool_, count, block_size);
     uint8_t* out =
         reply.blocks.empty() ? nullptr : reply.blocks.Mutable(0).data();
-    StripeLockSet held(state, StripeMaskOf(*state, indices));
+    StripeLockSet held(state, StripeMaskOf(*state, indices),
+                       StripeMode::kShared);
     // Runs of consecutive addresses collapse into single copies through
     // the dispatched CopyRuns kernel: a scan exchange (trivial PIR,
     // linear ORAM) is ONE copy of the arena.
@@ -493,7 +550,8 @@ StatusOr<StorageReply> StorageEngine::ExecuteValidated(
         request.payload.empty() ? nullptr : request.payload[0].data();
     uint64_t lsn = 0;
     {
-      StripeLockSet held(state, StripeMaskOf(*state, indices));
+      StripeLockSet held(state, StripeMaskOf(*state, indices),
+                         StripeMode::kExclusive);
       if (journal_ != nullptr && !state->is_private && count > 0) {
         // Write-ahead, inside the stripe locks: for any two conflicting
         // uploads the journal order equals the apply order, and an append
@@ -540,10 +598,7 @@ Status StorageEngine::SetArray(const NamespaceHandle& ns,
   }
   uint64_t lsn = 0;
   {
-    StripeLockSet held(state,
-                       state->stripe_count >= 64
-                           ? ~uint64_t{0}
-                           : (uint64_t{1} << state->stripe_count) - 1);
+    StripeLockSet held(state, AllStripesMask(*state), StripeMode::kExclusive);
     for (uint64_t i = 0; i < state->n; ++i) {
       CopyBytes(state->Slot(i), blocks[i].data(), state->block_size);
     }
@@ -573,7 +628,7 @@ StatusOr<Block> StorageEngine::Peek(const NamespaceHandle& ns,
   if (index >= state->n) {
     return OutOfRangeError("peek: index out of range");
   }
-  std::lock_guard<std::mutex> held(state->locks[state->StripeOf(index)]);
+  std::shared_lock<StripeLock> held(state->locks[state->StripeOf(index)]);
   return Block(state->Slot(index), state->Slot(index) + state->block_size);
 }
 
@@ -588,7 +643,7 @@ Status StorageEngine::Corrupt(const NamespaceHandle& ns, BlockId index) {
   }
   uint64_t lsn = 0;
   {
-    std::lock_guard<std::mutex> held(state->locks[state->StripeOf(index)]);
+    std::lock_guard<StripeLock> held(state->locks[state->StripeOf(index)]);
     if (journal_ != nullptr && !state->is_private) {
       const uint64_t journal_index = index;
       DPSTORE_ASSIGN_OR_RETURN(

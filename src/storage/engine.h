@@ -21,15 +21,22 @@
 /// share one arena while each keeps its own bit-identical transcript.
 ///
 /// Concurrency model: each namespace's arena is divided into
-/// `lock_stripes` contiguous stripes, each guarded by its own mutex. An
-/// exchange locks exactly the stripes its indices touch, in ascending
-/// order (no deadlocks), holds them across the run-coalesced copy, and
-/// releases. Disjoint-stripe exchanges proceed in parallel; same-stripe
-/// exchanges serialize, each observing the other's writes atomically at
-/// exchange granularity. Stripe count is capped at 64 so the touched-set
-/// is one uint64_t bitmask on the stack — the steady-state exchange path
-/// performs ZERO heap allocations beyond the (pooled, usually recycled)
-/// reply slab, preserving the PR 4 property through the shared engine.
+/// `lock_stripes` contiguous stripes, each guarded by its own
+/// reader-writer lock. An exchange locks exactly the stripes its indices
+/// touch — a kDpfEval, all of them — in ascending order (no deadlocks),
+/// holds them across the run-coalesced copy or scan, and releases.
+/// Read-only exchanges (downloads, evals, Peek) hold their stripes
+/// shared, so they run in parallel even on one namespace; writers
+/// (uploads, SetArray, Corrupt, Checkpoint) hold them exclusive. A writer
+/// and any overlapping exchange serialize, each observing the other's
+/// writes atomically at exchange granularity, and an eval scans one
+/// consistent whole-arena snapshot. The locks prefer writers: once a
+/// writer waits on a stripe, new readers queue behind it, so a stream of
+/// overlapping evals on a public namespace cannot starve an upload.
+/// Stripe count is capped at 64 so the touched-set is one uint64_t
+/// bitmask on the stack — the steady-state exchange path performs ZERO
+/// heap allocations beyond the (pooled, usually recycled) reply slab,
+/// preserving the PR 4 property through the shared engine.
 
 #include <atomic>
 #include <cstdint>

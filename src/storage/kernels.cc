@@ -41,6 +41,15 @@ inline uint64_t SelectBit(const uint64_t* bits, uint64_t index) {
   return (bits[index >> 6] >> (index & 63)) & 1;
 }
 
+// Selection bits [index, index + 64) as one word, bit 0 first. Reads the
+// next packed word only when `index` is not word-aligned, so it stays
+// inside any vector that covers index + 64 bits.
+inline uint64_t SelectWord(const uint64_t* bits, uint64_t index) {
+  const uint64_t shift = index & 63;
+  const uint64_t low = bits[index >> 6] >> shift;
+  return shift == 0 ? low : low | (bits[(index >> 6) + 1] << (64 - shift));
+}
+
 // --- scalar ------------------------------------------------------------------
 
 DPSTORE_NO_AUTOVEC
@@ -179,9 +188,52 @@ __attribute__((target("avx2"))) void MaskedXorAvx2(uint8_t* dst,
   if (i < len) MaskedXorSse2(dst + i, src + i, len - i, mask);
 }
 
+// XORs one 64-byte block into the two register accumulators, gated by
+// `bit` (0 or 1): the block is loaded whatever the bit says.
+__attribute__((target("avx2"), always_inline)) inline void XorBlock64Avx2(
+    __m256i* acc0, __m256i* acc1, const uint8_t* block, uint64_t bit) {
+  const __m256i mask = _mm256_set1_epi64x(static_cast<int64_t>(0 - bit));
+  const __m256i* b = reinterpret_cast<const __m256i*>(block);
+  *acc0 = _mm256_xor_si256(*acc0, _mm256_and_si256(_mm256_loadu_si256(b), mask));
+  *acc1 =
+      _mm256_xor_si256(*acc1, _mm256_and_si256(_mm256_loadu_si256(b + 1), mask));
+}
+
+// Register-resident scan for 64-byte blocks (the PIR database's block
+// size): the running answer lives in two ymm accumulators and touches
+// `dst` once, at the end, so no block waits on a store-to-load forward
+// through memory. The selection bits are taken a word at a time, 64 blocks
+// per word, which keeps the per-block instruction count (and so the loads
+// the core can keep in flight) close to a plain streaming read.
+__attribute__((target("avx2"))) void SelectXorScan64Avx2(
+    uint8_t* dst, const uint8_t* src, size_t count, const uint64_t* bits,
+    uint64_t bit_offset) {
+  __m256i acc0 = _mm256_setzero_si256();
+  __m256i acc1 = _mm256_setzero_si256();
+  size_t i = 0;
+  for (; i + 64 <= count; i += 64) {
+    const uint64_t word = SelectWord(bits, bit_offset + i);
+    const uint8_t* blocks = src + i * 64;
+#pragma GCC unroll 64
+    for (size_t j = 0; j < 64; ++j) {
+      XorBlock64Avx2(&acc0, &acc1, blocks + j * 64, (word >> j) & 1);
+    }
+  }
+  for (; i < count; ++i) {
+    XorBlock64Avx2(&acc0, &acc1, src + i * 64, SelectBit(bits, bit_offset + i));
+  }
+  __m256i* out = reinterpret_cast<__m256i*>(dst);
+  _mm256_storeu_si256(out, _mm256_xor_si256(_mm256_loadu_si256(out), acc0));
+  _mm256_storeu_si256(out + 1,
+                      _mm256_xor_si256(_mm256_loadu_si256(out + 1), acc1));
+}
+
 __attribute__((target("avx2"))) void SelectXorScanAvx2(
     uint8_t* dst, const uint8_t* src, size_t count, size_t block_size,
     const uint64_t* bits, uint64_t bit_offset) {
+  if (block_size == 64) {
+    return SelectXorScan64Avx2(dst, src, count, bits, bit_offset);
+  }
   for (size_t i = 0; i < count; ++i) {
     const uint64_t mask = 0 - SelectBit(bits, bit_offset + i);
     MaskedXorAvx2(dst, src + i * block_size, block_size, mask);

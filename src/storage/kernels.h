@@ -28,6 +28,12 @@
 /// (tests/kernels_test.cc holds them to it on random and edge-aligned
 /// buffers).
 ///
+/// For 64-byte blocks (the PIR database's block size) the AVX2 scan keeps
+/// the running answer in two ymm accumulators and folds it into `dst`
+/// once, at the end; for other sizes it XORs each block into `dst` in
+/// memory. Every variant stays branchless in the selection bits: each
+/// block is loaded in full, and the bit only masks what is XORed in.
+///
 /// ParallelFor is the chunking harness for many-core hosts: it splits a
 /// scan into contiguous chunks and runs them on a small thread set
 /// (inline when the range is small or the host has one core), so a

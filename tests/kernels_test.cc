@@ -101,13 +101,18 @@ TEST(KernelsTest, XorAccumulateMisalignedBuffersBitIdentical) {
 
 TEST(KernelsTest, SelectXorScanVariantsBitIdentical) {
   Rng rng(13);
+  // 64 takes the AVX2 register path; 32, 128, 192, 256 and 320 are
+  // multiples of the vector width that still take the in-memory loop.
   for (size_t block_size : {size_t{1}, size_t{3}, size_t{8}, size_t{16},
                             size_t{24}, size_t{33}, size_t{64},
-                            size_t{100}}) {
+                            size_t{100}, size_t{32}, size_t{128},
+                            size_t{192}, size_t{256}, size_t{320}}) {
     for (size_t count : {size_t{0}, size_t{1}, size_t{63}, size_t{64},
-                         size_t{65}, size_t{200}}) {
+                         size_t{65}, size_t{200}, size_t{4097}}) {
       for (uint64_t bit_offset : {uint64_t{0}, uint64_t{5}, uint64_t{64},
                                   uint64_t{67}}) {
+        // One long, word-misaligned run per block size is enough.
+        if (count == 4097 && bit_offset != 67) continue;
         const std::vector<uint8_t> arena =
             RandomBytes(&rng, count * block_size);
         std::vector<uint64_t> bits((bit_offset + count + 63) / 64 + 1);
@@ -166,6 +171,40 @@ TEST(KernelsTest, SelectXorScanEdgePatterns) {
                          zeros.data(), 0);
     EXPECT_EQ(got_zeros, std::vector<uint8_t>(block_size, 0))
         << VariantName(v);
+  }
+}
+
+TEST(KernelsTest, SelectXorScanAccumulatesIntoNonZeroDst) {
+  // dst starts random: every variant must XOR the answer into it, never
+  // overwrite it (a kernel that stores its register accumulators without
+  // folding in the old dst would pass every zero-initialized case).
+  Rng rng(16);
+  for (size_t block_size : {size_t{24}, size_t{32}, size_t{64}, size_t{128},
+                            size_t{192}, size_t{256}}) {
+    const size_t count = 300;
+    const uint64_t bit_offset = 67;
+    const std::vector<uint8_t> arena = RandomBytes(&rng, count * block_size);
+    std::vector<uint64_t> bits((bit_offset + count + 63) / 64 + 1);
+    for (uint64_t& word : bits) {
+      word = (rng.Uniform(uint64_t{1} << 32) << 32) ^
+             rng.Uniform(uint64_t{1} << 32);
+    }
+    const std::vector<uint8_t> dst0 = RandomBytes(&rng, block_size);
+    std::vector<uint8_t> expect = dst0;
+    for (size_t i = 0; i < count; ++i) {
+      const uint64_t bit = bit_offset + i;
+      if (((bits[bit >> 6] >> (bit & 63)) & 1) == 0) continue;
+      for (size_t b = 0; b < block_size; ++b) {
+        expect[b] ^= arena[i * block_size + b];
+      }
+    }
+    for (Variant v : SupportedVariants()) {
+      std::vector<uint8_t> got = dst0;
+      SelectXorScanVariant(v, got.data(), arena.data(), count, block_size,
+                           bits.data(), bit_offset);
+      EXPECT_EQ(got, expect)
+          << "bs=" << block_size << " variant=" << VariantName(v);
+    }
   }
 }
 

@@ -9,12 +9,15 @@
 //      shared namespaces share every byte;
 //   3. concurrent exchanges on one namespace serialize at exchange
 //      granularity (striped locking: no torn batches), which the TSan CI
-//      job additionally checks for data races;
+//      job additionally checks for data races; read-only exchanges share
+//      their stripes, yet an eval still scans one whole-arena snapshot and
+//      a stream of overlapping evals cannot starve a writer;
 //   4. the StorageService serves N connections as tenants of one engine
 //      (shared-namespace visibility across live socket connections).
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstring>
 #include <memory>
@@ -27,10 +30,12 @@
 #include "analysis/driver.h"
 #include "analysis/workload.h"
 #include "core/scheme_registry.h"
+#include "crypto/dpf.h"
 #include "server/storage_service.h"
 #include "storage/engine.h"
 #include "storage/server.h"
 #include "storage/wire.h"
+#include "util/random.h"
 
 namespace dpstore {
 namespace {
@@ -227,6 +232,209 @@ TEST(StorageEngineTest, SharedNamespaceSerializesWholeExchanges) {
   const StorageEngineCounters counters = engine->Counters();
   EXPECT_EQ(counters.exchanges, uint64_t{kThreads} * kIters * 2);
   EXPECT_EQ(counters.blocks_moved, uint64_t{kThreads} * kIters * 2 * kBlocks);
+}
+
+// Whole-arena images, one per stamp, of random bytes: the eval answer of
+// a fixed key differs between stamps, and a scan that mixes two images
+// matches neither.
+std::vector<std::vector<Block>> StampImages(size_t stamps, uint64_t n,
+                                            size_t block_size) {
+  std::vector<std::vector<Block>> images(stamps);
+  for (size_t s = 0; s < stamps; ++s) {
+    Rng rng(1000 + s);
+    images[s].resize(n);
+    for (Block& block : images[s]) {
+      block.resize(block_size);
+      for (uint8_t& byte : block) byte = static_cast<uint8_t>(rng.Uniform(256));
+    }
+  }
+  return images;
+}
+
+/// The answer a single server returns for `key` over `image`.
+Block EvalOver(const crypto::DpfKey& key, const std::vector<Block>& image) {
+  const std::vector<uint64_t> bits = crypto::DpfEvalFull(key);
+  Block answer(image[0].size(), 0);
+  for (size_t i = 0; i < image.size(); ++i) {
+    if (((bits[i >> 6] >> (i & 63)) & 1) == 0) continue;
+    for (size_t b = 0; b < answer.size(); ++b) answer[b] ^= image[i][b];
+  }
+  return answer;
+}
+
+// Evals hold their stripes SHARED, so they overlap each other, but they
+// still hold every stripe at once: writers replacing the whole arena with
+// one stamp's image must never be seen half-applied by a scan. Every eval
+// answer has to equal that key's answer over exactly one stamp's image.
+// Scanning one stripe at a time (releasing each before taking the next)
+// lets an upload land mid-scan and fails this. The engine's exchange and
+// block counters must also stay exact under the interleaving.
+TEST(StorageEngineTest, SharedEvalsSeeWholeArenaSnapshots) {
+  constexpr uint8_t kDepth = 10;
+  constexpr uint64_t kBlocks = uint64_t{1} << kDepth;
+  constexpr size_t kBlockSize = 64;
+  constexpr size_t kStamps = 6;
+  constexpr size_t kKeys = 4;
+  constexpr unsigned kWriters = 2;
+  constexpr unsigned kReaders = 3;
+  constexpr int kIters = 150;
+
+  auto engine = StorageEngine::Create(StorageEngineOptions{
+      /*num_threads=*/kWriters + kReaders, /*lock_stripes=*/64,
+      /*persist=*/{}});
+  const std::vector<std::vector<Block>> images =
+      StampImages(kStamps, kBlocks, kBlockSize);
+  std::vector<std::vector<uint8_t>> keys;
+  std::vector<std::vector<Block>> expect(kKeys);  // [key][stamp]
+  Rng rng(31);
+  for (size_t k = 0; k < kKeys; ++k) {
+    StatusOr<crypto::DpfKeyPair> pair =
+        crypto::DpfGen(rng.Uniform(kBlocks), kDepth);
+    ASSERT_TRUE(pair.ok());
+    keys.push_back(pair->key0.Serialize());
+    for (size_t s = 0; s < kStamps; ++s) {
+      expect[k].push_back(EvalOver(pair->key0, images[s]));
+    }
+  }
+  std::vector<BlockId> all(kBlocks);
+  for (uint64_t i = 0; i < kBlocks; ++i) all[i] = i;
+  {
+    EngineBackend setup(engine, kBlocks, kBlockSize, /*id=*/3,
+                        AttachMode::kAttachOrCreate);
+    ASSERT_TRUE(setup.SetArray(images[0]).ok());
+  }
+
+  std::atomic<int> torn{0};
+  std::atomic<int> failed{0};
+  std::vector<std::thread> threads;
+  for (unsigned t = 0; t < kWriters + kReaders; ++t) {
+    threads.emplace_back([&, t] {
+      EngineBackend backend(engine, kBlocks, kBlockSize, /*id=*/3,
+                            AttachMode::kAttachOrCreate, /*tid=*/t);
+      backend.SetTranscriptCountingOnly(true);
+      for (int iter = 0; iter < kIters; ++iter) {
+        if (t < kWriters) {
+          const size_t stamp = (t + iter) % kStamps;
+          if (!backend.Exchange(StorageRequest::UploadOf(all, images[stamp]))
+                   .ok()) {
+            ++failed;
+          }
+          continue;
+        }
+        const size_t k = (t + iter) % kKeys;
+        StatusOr<StorageReply> answer =
+            backend.Exchange(StorageRequest::DpfEvalOf(keys[k]));
+        if (!answer.ok()) {
+          ++failed;
+          continue;
+        }
+        const BlockView got = answer->blocks[0];
+        bool matches = false;
+        for (const Block& want : expect[k]) {
+          matches = matches || std::equal(got.begin(), got.end(), want.begin());
+        }
+        if (!matches) ++torn;
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_EQ(failed.load(), 0);
+  EXPECT_EQ(torn.load(), 0);
+
+  // One exchange per upload and per eval; an upload moves every block, an
+  // eval returns its one aggregate block.
+  const StorageEngineCounters counters = engine->Counters();
+  EXPECT_EQ(counters.exchanges, uint64_t{kWriters + kReaders} * kIters);
+  EXPECT_EQ(counters.blocks_moved,
+            uint64_t{kWriters} * kIters * kBlocks + uint64_t{kReaders} * kIters);
+}
+
+// Three threads run evals back to back on one shared namespace, so at
+// almost every instant some eval holds every stripe shared. A fourth
+// thread's whole-arena uploads must still get through: the stripe locks
+// prefer writers, so a waiting upload stops new evals from entering and
+// waits only for the evals already in flight. A reader-preferring lock
+// lets evals keep entering and can starve the uploads indefinitely.
+// Progress is counted in evals that finish while an upload waits, not in
+// seconds, so the bound does not depend on host speed, load or the
+// sanitizers: writer preference allows about kReaders per upload, and the
+// budget is several times that. The arena is 8 MiB so a scan is long next
+// to the gap between one thread's evals: with a small arena all three
+// evals are often between scans at once, and even a reader-preferring
+// lock lets the writer in.
+TEST(StorageEngineTest, WholeArenaUploadsProgressUnderBackToBackEvals) {
+  constexpr uint8_t kDepth = 14;
+  constexpr uint64_t kBlocks = uint64_t{1} << kDepth;
+  constexpr size_t kBlockSize = 512;
+  constexpr unsigned kReaders = 3;
+  constexpr int kUploads = 100;
+  constexpr uint64_t kWaitBudget = 50 * kUploads;
+
+  auto engine = StorageEngine::Create(StorageEngineOptions{
+      /*num_threads=*/kReaders + 1, /*lock_stripes=*/16, /*persist=*/{}});
+  StatusOr<crypto::DpfKeyPair> pair = crypto::DpfGen(kBlocks / 3, kDepth);
+  ASSERT_TRUE(pair.ok());
+  const std::vector<uint8_t> key = pair->key0.Serialize();
+  std::vector<BlockId> all(kBlocks);
+  for (uint64_t i = 0; i < kBlocks; ++i) all[i] = i;
+  auto upload_of = [&](int stamp) {
+    BlockBuffer payload(kBlockSize);
+    for (uint64_t i = 0; i < kBlocks; ++i) {
+      MutableBlockView block = payload.AppendUninitialized();
+      std::memset(block.data(), stamp, block.size());
+    }
+    return StorageRequest::UploadOf(all, std::move(payload));
+  };
+
+  EngineBackend writer_backend(engine, kBlocks, kBlockSize, /*id=*/4,
+                               AttachMode::kAttachOrCreate, /*tid=*/kReaders);
+  writer_backend.SetTranscriptCountingOnly(true);
+  ASSERT_TRUE(writer_backend.Exchange(upload_of(0)).ok());
+
+  std::atomic<bool> writer_waiting{false};
+  std::atomic<int> uploads_done{0};
+  std::atomic<int> failed{0};
+  std::atomic<uint64_t> evals{0};
+  std::atomic<uint64_t> evals_while_waiting{0};
+  std::vector<std::thread> readers;
+  for (unsigned t = 0; t < kReaders; ++t) {
+    readers.emplace_back([&, t] {
+      EngineBackend backend(engine, kBlocks, kBlockSize, /*id=*/4,
+                            AttachMode::kAttachOrCreate, /*tid=*/t);
+      backend.SetTranscriptCountingOnly(true);
+      // Stop once the writer is done, or once the budget is spent so a
+      // starved writer finishes and the test reports instead of hanging.
+      while (uploads_done.load() < kUploads &&
+             evals_while_waiting.load() < kWaitBudget) {
+        if (!backend.Exchange(StorageRequest::DpfEvalOf(key)).ok()) ++failed;
+        ++evals;
+        if (writer_waiting.load()) ++evals_while_waiting;
+      }
+    });
+  }
+  // Let the evals get going before the writer arrives.
+  while (evals.load() < kReaders) std::this_thread::yield();
+
+  std::thread writer([&] {
+    for (int u = 1; u <= kUploads; ++u) {
+      StorageRequest request = upload_of(u);
+      writer_waiting.store(true);
+      if (!writer_backend.Exchange(std::move(request)).ok()) ++failed;
+      writer_waiting.store(false);
+      ++uploads_done;
+    }
+  });
+  writer.join();
+  for (std::thread& reader : readers) reader.join();
+
+  EXPECT_LT(evals_while_waiting.load(), kWaitBudget)
+      << "whole-arena uploads starved behind back-to-back evals";
+  EXPECT_EQ(failed.load(), 0);
+  // The first upload counts too.
+  const StorageEngineCounters counters = engine->Counters();
+  EXPECT_EQ(counters.exchanges, uint64_t{kUploads + 1} + evals.load());
+  EXPECT_EQ(counters.blocks_moved,
+            uint64_t{kUploads + 1} * kBlocks + evals.load());
 }
 
 // --- Tenancy is invisible ------------------------------------------------
