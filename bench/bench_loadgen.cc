@@ -73,7 +73,7 @@ using Clock = std::chrono::steady_clock;
 
 /// A StorageService behind a real Unix listener: the dpstore_server
 /// accept loop, in-process. Every bench connection crosses the same
-/// codec, reader threads and worker pool as a standalone deployment.
+/// codec, reader threads and execution slots as a standalone deployment.
 class InProcessServer {
  public:
   /// A non-empty `data_dir` runs the engine durable (mmap arenas +

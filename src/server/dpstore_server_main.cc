@@ -2,8 +2,8 @@
 // codec (storage/wire.h, spec in docs/wire-format.md) over a Unix-domain
 // or TCP socket. All connections are tenants of ONE shared StorageEngine
 // (each bound to the namespace its Open frame names — private by
-// default, shared by id), served by a bounded worker pool instead of a
-// thread per connection.
+// default, shared by id). Each connection's reader executes its own
+// frames; --threads bounds how many exchanges execute at once.
 //
 // Usage:
 //   dpstore_server --unix /tmp/dpstore.sock [--threads N] [--max-conns N]
@@ -58,7 +58,7 @@ void PrintUsage(std::FILE* out, const char* argv0) {
                "  --unix <path>    listen on a Unix-domain socket\n"
                "  --port <port>    listen on TCP (with --host, default "
                "127.0.0.1)\n"
-               "  --threads <n>    storage worker threads (default 4)\n"
+               "  --threads <n>    exchanges executed at once (default 4)\n"
                "  --max-conns <n>  concurrent connection cap (default 64;\n"
                "                   also sizes the listen backlog)\n"
                "  --data-dir <d>   persist shared namespaces under <d>\n"
@@ -264,11 +264,13 @@ int main(int argc, char** argv) {
   std::printf(
       "dpstore_server: drained: conns accepted=%" PRIu64 " rejected=%" PRIu64
       " | frames=%" PRIu64 " exchanges=%" PRIu64 " (fused %" PRIu64
-      " in %" PRIu64 " batches, shed %" PRIu64 ") | namespaces live=%" PRIu64
+      " in %" PRIu64 " batches, shed %" PRIu64 ", queued %" PRIu64
+      ") | namespaces live=%" PRIu64
       " created=%" PRIu64 " | blocks moved=%" PRIu64 "\n",
       counters.connections_accepted, counters.connections_rejected,
       counters.frames_served, counters.exchanges_served,
       counters.fused_frames, counters.fused_batches, counters.frames_shed,
+      counters.frames_queued,
       counters.engine.namespaces, counters.engine.namespaces_created,
       counters.engine.blocks_moved);
   if (!data_dir.empty()) {

@@ -1,5 +1,6 @@
 #include "server/storage_service.h"
 
+#include <sys/ioctl.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -7,12 +8,14 @@
 #include <chrono>
 #include <deque>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "storage/backend.h"
 #include "storage/wire.h"
+#include "util/check.h"
 
 namespace dpstore {
 
@@ -107,7 +110,7 @@ Status DispatchFrame(StorageEngine& engine, unsigned tid, NamespaceHandle* ns,
                         : SendError(fd, reply.status(), ticket, *version);
     }
     case wire::FrameType::kSetArray: {
-      Status status = engine.SetArray(*ns, frame.payload.ToBlocks());
+      Status status = engine.SetArray(*ns, frame.payload);
       return status.ok() ? SendAck(fd, ticket, *version)
                          : SendError(fd, status, ticket, *version);
     }
@@ -153,12 +156,24 @@ bool FusableFrame(const wire::DecodedFrame& frame, const NamespaceHandle& ns) {
          frame.payload.block_size() == ns.block_size();
 }
 
+/// True when a whole frame is already buffered on `fd`, so ReadFrame
+/// returns without blocking. A partly received frame reads as false.
+bool FrameBuffered(int fd) {
+  uint8_t prefix[4];
+  if (::recv(fd, prefix, sizeof(prefix), MSG_PEEK | MSG_DONTWAIT) !=
+      static_cast<ssize_t>(sizeof(prefix))) {
+    return false;
+  }
+  int buffered = 0;
+  if (::ioctl(fd, FIONREAD, &buffered) != 0) return false;
+  const uint64_t length = uint64_t{prefix[0]} | uint64_t{prefix[1]} << 8 |
+                          uint64_t{prefix[2]} << 16 |
+                          uint64_t{prefix[3]} << 24;
+  return static_cast<uint64_t>(buffered) >= sizeof(prefix) + length;
+}
+
 }  // namespace
 
-/// One socket tenant. All fields except `fd` (set once before the reader
-/// starts) and `reader` (joined only after `done`) are guarded by the
-/// service mutex; `ns`, `version` and the socket writes are additionally
-/// touched only by the worker that holds the connection `busy`.
 /// One decoded frame plus when the reader enqueued it — the age the
 /// shedding policy (options.shed_after_ms) measures.
 struct QueuedFrame {
@@ -166,13 +181,17 @@ struct QueuedFrame {
   std::chrono::steady_clock::time_point arrival;
 };
 
+/// One socket tenant. All fields except `fd` (set once before the reader
+/// starts) and `reader` (joined only after `done`) are guarded by the
+/// service mutex; `ns`, `version` and the socket writes are additionally
+/// touched only by the slot holder that holds the connection `busy`.
 struct StorageService::Connection {
   int fd = -1;
   std::thread reader;
   std::deque<QueuedFrame> queue;
   bool scheduled = false;     ///< in ready_
-  bool busy = false;          ///< a worker owns it right now
-  bool reader_done = false;   ///< reader thread returned
+  bool busy = false;          ///< a slot holder owns it right now
+  bool reader_done = false;   ///< reader stopped reading (EOF/error)
   bool write_failed = false;  ///< a reply write failed; conn is dead
   bool done = false;          ///< finalized, fd closed
   NamespaceHandle ns;
@@ -187,7 +206,7 @@ namespace {
 
 StorageEngineOptions EngineOptionsFor(const StorageServiceOptions& options) {
   StorageEngineOptions engine_options;
-  engine_options.num_threads = std::max<size_t>(options.num_threads, 1);
+  engine_options.num_threads = options.num_threads;
   engine_options.lock_stripes = options.lock_stripes;
   engine_options.persist = options.persist;
   return engine_options;
@@ -210,100 +229,124 @@ StatusOr<std::unique_ptr<StorageService>> StorageService::Make(
 StorageService::StorageService(StorageServiceOptions options,
                                std::shared_ptr<StorageEngine> engine)
     : options_(options), engine_(std::move(engine)) {
-  workers_.reserve(options_.num_threads);
-  for (size_t tid = 0; tid < options_.num_threads; ++tid) {
-    workers_.emplace_back(&StorageService::WorkerLoop, this,
-                          static_cast<unsigned>(tid));
+  DPSTORE_CHECK_GE(options_.num_threads, 1u);
+  // Popped from the back: the lowest tids are handed out first.
+  for (size_t tid = options_.num_threads; tid > 0; --tid) {
+    free_slots_.push_back(static_cast<unsigned>(tid - 1));
   }
 }
 
 StorageService::~StorageService() { Drain(); }
 
 bool StorageService::HandleConnection(int fd) {
-  std::unique_lock<std::mutex> lock(mu_);
-  if (draining_ || workers_.empty() ||
-      counters_.connections_active >= options_.max_conns) {
-    ++counters_.connections_rejected;
-    lock.unlock();
-    ::close(fd);
-    return false;
-  }
-  // Retire finished connections (joining their readers) on the accept
-  // path, so a long-lived server never accumulates dead records.
-  for (size_t i = 0; i < conns_.size();) {
-    if (conns_[i]->done) {
-      if (conns_[i]->reader.joinable()) conns_[i]->reader.join();
-      conns_.erase(conns_.begin() + i);
-    } else {
-      ++i;
+  std::vector<std::thread> finished;
+  bool admitted = false;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    // Retire finished connections on the accept path, so a long-lived
+    // server never accumulates dead records; their readers are joined
+    // outside mu_.
+    for (size_t i = 0; i < conns_.size();) {
+      if (conns_[i]->done) {
+        if (conns_[i]->reader.joinable()) {
+          finished.push_back(std::move(conns_[i]->reader));
+        }
+        conns_.erase(conns_.begin() + i);
+      } else {
+        ++i;
+      }
     }
+    std::shared_ptr<Connection> conn = AdmitLocked(fd);
+    if (conn != nullptr) {
+      conn->reader = std::thread([this, conn] { ReaderLoop(conn); });
+      admitted = true;
+    }
+  }
+  for (std::thread& reader : finished) reader.join();
+  return admitted;
+}
+
+std::shared_ptr<StorageService::Connection> StorageService::AdmitLocked(
+    int fd) {
+  if (draining_ || counters_.connections_active >= options_.max_conns) {
+    ++counters_.connections_rejected;
+    ::close(fd);
+    return nullptr;
   }
   auto conn = std::make_shared<Connection>();
   conn->fd = fd;
   ++counters_.connections_accepted;
   ++counters_.connections_active;
   conns_.push_back(conn);
-  conn->reader = std::thread(&StorageService::ReaderLoop, this, conn);
-  return true;
+  return conn;
 }
 
-uint64_t StorageService::ServeBlocking(int fd) {
-  NamespaceHandle ns;
-  uint8_t version = wire::kMinWireVersion;  // pre-Open; see Connection
-  uint64_t exchanges = 0;
-  uint64_t frames = 0;
+void StorageService::ReaderLoop(const std::shared_ptr<Connection>& conn) {
   std::vector<uint8_t> scratch;
-  for (;;) {
-    StatusOr<wire::DecodedFrame> frame = wire::ReadFrame(fd, &scratch);
-    if (!frame.ok()) break;  // EOF or unframeable bytes: close.
-    Status sent = DispatchFrame(*engine_, /*tid=*/0, &ns, &version,
-                                std::move(*frame), fd, &exchanges);
-    ++frames;
-    if (!sent.ok()) break;
-  }
-  ::close(fd);
-  std::lock_guard<std::mutex> lock(mu_);
-  counters_.frames_served += frames;
-  counters_.exchanges_served += exchanges;
-  return exchanges;
-}
-
-void StorageService::ReaderLoop(std::shared_ptr<Connection> conn) {
-  std::vector<uint8_t> scratch;
-  for (;;) {
+  std::unique_lock<std::mutex> lock(mu_);
+  while (!conn->reader_done) {
+    lock.unlock();
     StatusOr<wire::DecodedFrame> frame = wire::ReadFrame(conn->fd, &scratch);
-    std::unique_lock<std::mutex> lock(mu_);
-    if (!frame.ok() || conn->write_failed) {
-      conn->reader_done = true;
-      ScheduleLocked(conn);
-      return;
+    lock.lock();
+    const bool queued = AcceptFrameLocked(conn, std::move(frame));
+    if (!ready_.empty() && !free_slots_.empty()) {
+      // Run to completion: a slot is free only while ready_ is empty, so
+      // the one ready connection is this one and this thread executes its
+      // frame and writes the reply itself.
+      ExecuteReadyLocked(lock, conn, &scratch);
+    } else if (queued) {
+      ++counters_.frames_queued;
     }
+  }
+}
+
+bool StorageService::AcceptFrameLocked(const std::shared_ptr<Connection>& conn,
+                                       StatusOr<wire::DecodedFrame> frame) {
+  const bool queued = frame.ok() && !conn->write_failed;
+  if (queued) {
     conn->queue.push_back(
         QueuedFrame{std::move(*frame), std::chrono::steady_clock::now()});
-    ScheduleLocked(conn);
+  } else {
+    conn->reader_done = true;
   }
+  ScheduleLocked(conn);
+  return queued;
 }
 
-void StorageService::WorkerLoop(unsigned tid) {
-  std::unique_lock<std::mutex> lock(mu_);
-  for (;;) {
-    work_cv_.wait(lock, [this] { return stopping_ || !ready_.empty(); });
-    if (ready_.empty()) {
-      if (stopping_) return;
-      continue;
-    }
+void StorageService::ExecuteReadyLocked(
+    std::unique_lock<std::mutex>& lock,
+    const std::shared_ptr<Connection>& reader, std::vector<uint8_t>* scratch) {
+  const unsigned tid = free_slots_.back();
+  free_slots_.pop_back();
+  while (!ready_.empty()) {
     std::shared_ptr<Connection> conn = ready_.front();
     ready_.erase(ready_.begin());
     conn->scheduled = false;
-    if (conn->queue.empty()) {  // queue dropped after a write failure
-      ScheduleLocked(conn);
+    if (!conn->queue.empty()) {  // else: queue dropped after a write failure
+      conn->busy = true;
+      ProcessLocked(tid, lock, conn);
+      conn->busy = false;
+    }
+    ScheduleLocked(conn);
+    // Fairness: while others wait, a frame already buffered on this
+    // thread's own socket joins the line behind them. Otherwise a reader
+    // draining a ready list that other connections keep refilling would
+    // leave its own client's next request unread indefinitely.
+    if (ready_.empty() || reader->reader_done || reader->write_failed ||
+        !reader->queue.empty()) {
       continue;
     }
-    conn->busy = true;
-    ProcessLocked(tid, lock, conn);
-    conn->busy = false;
-    ScheduleLocked(conn);
+    lock.unlock();
+    std::optional<StatusOr<wire::DecodedFrame>> pulled;
+    if (FrameBuffered(reader->fd)) {
+      pulled = wire::ReadFrame(reader->fd, scratch);
+    }
+    lock.lock();
+    if (pulled.has_value() && AcceptFrameLocked(reader, std::move(*pulled))) {
+      ++counters_.frames_queued;
+    }
   }
+  free_slots_.push_back(tid);
 }
 
 void StorageService::ProcessLocked(unsigned tid,
@@ -345,7 +388,7 @@ void StorageService::ProcessLocked(unsigned tid,
   if (!FusableFrame(head, conn->ns)) {
     // Control frames, pre-open traffic and possibly-failing requests take
     // the exact single-frame path. The connection is busy-claimed, so
-    // this worker is the only toucher of its fd / ns / version.
+    // this slot holder is the only toucher of its fd / ns / version.
     lock.unlock();
     uint64_t executed = 0;
     Status sent = DispatchFrame(*engine_, tid, &conn->ns, &conn->version,
@@ -494,7 +537,6 @@ void StorageService::ScheduleLocked(const std::shared_ptr<Connection>& conn) {
     if (!conn->scheduled) {
       conn->scheduled = true;
       ready_.push_back(conn);
-      work_cv_.notify_one();
     }
     return;
   }
@@ -531,17 +573,12 @@ void StorageService::Drain() {
     }
     drained_cv_.wait(lock,
                      [this] { return counters_.connections_active == 0; });
-    stopping_ = true;
     conns_.clear();
-  }
-  work_cv_.notify_all();
-  for (std::thread& worker : workers_) {
-    if (worker.joinable()) worker.join();
   }
   for (const auto& c : conns) {
     if (c->reader.joinable()) c->reader.join();
   }
-  // Quiescent now (no readers, no workers, no in-flight exchanges):
+  // Quiescent now (no readers, no in-flight exchanges):
   // checkpoint so a clean restart replays nothing. Best-effort — on
   // failure the journal simply remains for the next Open to replay.
   (void)engine_->Checkpoint();
@@ -558,13 +595,19 @@ StorageServiceCounters StorageService::Counters() const {
 }
 
 uint64_t ServeStorageConnection(int fd) {
-  // A connection-private engine behind the shared dispatch: exactly the
-  // PR 5 contract (every byte included), now expressed as the smallest
-  // possible StorageService.
+  // A connection-private engine behind the server's own reader loop, run
+  // on the caller's thread with one execution slot: the smallest possible
+  // StorageService, serving every byte exactly as dpstore_server does.
   StorageServiceOptions options;
-  options.num_threads = 0;  // no pool; serve on the caller's thread
+  options.num_threads = 1;
   StorageService service(options);
-  return service.ServeBlocking(fd);
+  std::shared_ptr<StorageService::Connection> conn;
+  {
+    std::lock_guard<std::mutex> lock(service.mu_);
+    conn = service.AdmitLocked(fd);
+  }
+  service.ReaderLoop(conn);
+  return service.Counters().exchanges_served;
 }
 
 }  // namespace dpstore

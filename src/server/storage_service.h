@@ -5,29 +5,35 @@
 /// Server side of the wire codec: StorageService turns connected sockets
 /// into tenants of ONE shared StorageEngine.
 ///
-/// PR 5's ServeStorageConnection owned a private arena per connection on
-/// a dedicated thread — structurally single-tenant. The service splits
-/// that into three roles:
+/// Every exchange runs to completion on the thread that read it. The
+/// roles:
 ///
-///   * per-connection READERS: thin threads that only decode frames and
-///     enqueue work (they never touch storage);
-///   * a BOUNDED WORKER POOL (`num_threads`) executing exchanges against
-///     the shared engine — server capacity no longer scales threads with
-///     connections;
-///   * a CROSS-CONNECTION BATCH SCHEDULER: a worker draining one
-///     connection's queue also harvests same-direction request frames
-///     bound for the SAME namespace from other ready connections and
-///     executes them as one fused engine exchange (the FusingBackend
-///     idea, applied server-side). Each connection still receives
-///     exactly one reply frame per request frame, with its own ticket,
-///     in its own request order — the adversary-view invariant is per
+///   * per-connection READERS: a connection's reader thread decodes a
+///     frame and, when an EXECUTION SLOT is free, executes it itself and
+///     writes the reply — no handoff to another thread on the common path;
+///   * EXECUTION SLOTS (`num_threads`): at most that many exchanges
+///     execute at once, so engine concurrency is bounded no matter how
+///     many connections are open. Slot ids are the engine `tid`s;
+///   * OVERFLOW: when every slot is held, the reader queues the frame on
+///     the ready list and goes back to reading. A thread releasing a slot
+///     first drains the ready list, so queued work always makes progress
+///     (and a draining reader whose own socket has a whole frame waiting
+///     queues it behind the others, so its client is not starved);
+///   * CROSS-CONNECTION BATCH FUSION: a slot holder executing one
+///     connection's queue head also harvests same-direction request
+///     frames bound for the SAME namespace from other queued connections
+///     and executes them as one fused engine exchange (the FusingBackend
+///     idea, applied server-side). Fusion only finds partners in the
+///     overflow queue, i.e. under load. Each connection still receives
+///     exactly one reply frame per request frame, with its own ticket, in
+///     its own request order — the adversary-view invariant is per
 ///     connection and fusion never changes any client's bytes.
 ///
 /// Shared by the dpstore_server binary and by SocketBackend's in-process
-/// fallback (ServeStorageConnection), which serves the same dispatch
-/// synchronously from one thread over a socketpair — a test against the
-/// fallback exercises byte-for-byte the same codec and execution path as
-/// a real TCP deployment.
+/// fallback (ServeStorageConnection), which runs the same reader loop on
+/// the caller's thread with one slot over a socketpair — a test against
+/// the fallback exercises byte-for-byte the same codec and execution path
+/// as a real TCP deployment.
 
 #include <condition_variable>
 #include <cstdint>
@@ -37,12 +43,13 @@
 #include <vector>
 
 #include "storage/engine.h"
+#include "storage/wire.h"
 
 namespace dpstore {
 
 struct StorageServiceOptions {
-  /// Worker threads executing exchanges (threaded mode). 0 spawns no
-  /// pool: only ServeBlocking may be used (the in-process fallback).
+  /// Execution slots: exchanges executed at once (>= 1). Readers execute
+  /// their own frames while a slot is free and queue them otherwise.
   size_t num_threads = 4;
   /// Concurrent-connection cap; HandleConnection refuses (and closes)
   /// beyond it.
@@ -52,20 +59,19 @@ struct StorageServiceOptions {
   uint64_t fuse_blocks = 256;
   /// Stripe count for the shared engine's per-namespace locking.
   size_t lock_stripes = 16;
-  /// Queue-age load shedding (threaded mode): a kRequest frame that
-  /// waited in its connection's queue longer than this many ms is
-  /// answered with a DeadlineExceeded error frame instead of executed —
-  /// the server-side half of the client's `deadline_ms` budget, applied
-  /// where an overloaded server's time actually goes. -1 disables; 0
-  /// sheds every queued request (a deterministic test mode). Control
-  /// frames (Open/SetArray/Peek/Corrupt) always execute, and the
-  /// synchronous ServeBlocking path never queues, so it never sheds.
+  /// Queue-age load shedding: a kRequest frame whose age (from the moment
+  /// its reader decoded it to the moment a slot executes it) reaches this
+  /// many ms is answered with a DeadlineExceeded error frame instead of
+  /// executed — the server-side half of the client's `deadline_ms`
+  /// budget, applied where an overloaded server's time actually goes. -1
+  /// disables; 0 sheds every request (a deterministic test mode). Control
+  /// frames (Open/SetArray/Peek/Corrupt) always execute.
   int64_t shed_after_ms = -1;
   /// Durability passthrough to the shared engine (--data-dir). With it
   /// set, an upload's ack is only written after its journal record is
   /// fdatasync-durable — and because a fused group executes as ONE engine
   /// exchange, a batch of fused uploads costs one journal record and one
-  /// fdatasync (group commit covers concurrent workers too). Use Make()
+  /// fdatasync (group commit covers concurrent slots too). Use Make()
   /// to observe recovery failures as Status.
   persist::PersistOptions persist;
 };
@@ -81,6 +87,9 @@ struct StorageServiceCounters {
   uint64_t fused_batches = 0;         ///< engine calls carrying >1 frame
   uint64_t fused_frames = 0;          ///< request frames that rode fused
   uint64_t frames_shed = 0;  ///< requests answered DeadlineExceeded unexecuted
+  /// Frames that waited for an execution slot (read while every slot, or
+  /// their own connection, was busy) instead of running on their reader.
+  uint64_t frames_queued = 0;
   StorageEngineCounters engine;
 };
 
@@ -93,27 +102,20 @@ class StorageService {
   /// (StorageEngine::Open) and surfaces its DataLoss/Internal errors.
   static StatusOr<std::unique_ptr<StorageService>> Make(
       StorageServiceOptions options = {});
-  /// Drains (see Drain) and joins every thread.
+  /// Drains (see Drain) and joins every reader.
   ~StorageService();
 
   StorageService(const StorageService&) = delete;
   StorageService& operator=(const StorageService&) = delete;
 
-  /// Adopts `fd` as a new connection: spawns its reader and serves its
-  /// frames from the worker pool. Returns false — closing `fd` — when
-  /// draining or at max_conns. Requires num_threads >= 1.
+  /// Adopts `fd` as a new connection and spawns its reader. Returns false
+  /// — closing `fd` — when draining or at max_conns.
   bool HandleConnection(int fd);
 
-  /// Serves one connection synchronously on the caller's thread against
-  /// the shared engine, until EOF or a framing error; closes `fd` on
-  /// return. Returns the number of exchange frames served. This is the
-  /// PR 5 dispatch loop, now a thin client of the engine.
-  uint64_t ServeBlocking(int fd);
-
   /// Graceful shutdown: refuse new connections, stop reading, finish
-  /// every in-flight exchange (replies still flow), close all
-  /// connections, park the workers, and — once quiescent — checkpoint
-  /// the engine so a clean restart replays nothing. Idempotent.
+  /// every queued exchange (replies still flow), close all connections,
+  /// join the readers, and — once quiescent — checkpoint the engine so a
+  /// clean restart replays nothing. Idempotent.
   void Drain();
 
   StorageServiceCounters Counters() const;
@@ -125,8 +127,27 @@ class StorageService {
   StorageService(StorageServiceOptions options,
                  std::shared_ptr<StorageEngine> engine);
 
-  void WorkerLoop(unsigned tid);
-  void ReaderLoop(std::shared_ptr<Connection> conn);
+  friend uint64_t ServeStorageConnection(int fd);
+
+  /// Registers `fd` as a connection, or closes it and returns null when
+  /// draining or at max_conns. Requires mu_.
+  std::shared_ptr<Connection> AdmitLocked(int fd);
+  /// Reads `conn`'s frames until EOF or a framing error, executing them
+  /// in a slot when one is free and queueing them otherwise.
+  void ReaderLoop(const std::shared_ptr<Connection>& conn);
+  /// Queues a frame the reader of `conn` decoded, or — on a read error —
+  /// marks the reader done. Returns true when a frame was queued.
+  /// Requires mu_.
+  bool AcceptFrameLocked(const std::shared_ptr<Connection>& conn,
+                         StatusOr<wire::DecodedFrame> frame);
+  /// Holds one execution slot on behalf of `reader`'s thread and executes
+  /// the ready list until it is empty, then releases the slot. Between
+  /// groups, while others wait, pulls a frame already buffered on
+  /// `reader`'s own socket into the queue so its client waits its turn
+  /// instead of starving. Requires mu_ and a free slot.
+  void ExecuteReadyLocked(std::unique_lock<std::mutex>& lock,
+                          const std::shared_ptr<Connection>& reader,
+                          std::vector<uint8_t>* scratch);
   /// Executes one connection's head-of-queue group (plus harvested
   /// same-direction requests from other ready connections). mu_ held on
   /// entry and exit, released around engine execution and socket writes.
@@ -146,21 +167,22 @@ class StorageService {
   std::shared_ptr<StorageEngine> engine_;
 
   mutable std::mutex mu_;
-  std::condition_variable work_cv_;     // workers: ready_ / stopping_
   std::condition_variable drained_cv_;  // Drain: connections_active -> 0
   std::vector<std::shared_ptr<Connection>> conns_;
+  /// Connections with queued frames waiting for a slot, in arrival order.
+  /// Non-empty only while every slot is held: a slot is released only
+  /// after its holder found this list empty.
   std::vector<std::shared_ptr<Connection>> ready_;
+  /// Ids (engine tids) of the execution slots nobody holds.
+  std::vector<unsigned> free_slots_;
   bool draining_ = false;
-  bool stopping_ = false;
   StorageServiceCounters counters_;
-
-  std::vector<std::thread> workers_;
 };
 
 /// Compat entry point (SocketBackend's socketpair fallback): serves one
 /// connection on the caller's thread against a connection-private
-/// engine, exactly the PR 5 contract. Closes `fd`; returns exchange
-/// frames served.
+/// engine, through the same reader loop with one execution slot. Closes
+/// `fd`; returns exchange frames served.
 uint64_t ServeStorageConnection(int fd);
 
 }  // namespace dpstore

@@ -585,22 +585,21 @@ StatusOr<StorageReply> StorageEngine::ExecuteValidated(
 }
 
 Status StorageEngine::SetArray(const NamespaceHandle& ns,
-                               const std::vector<Block>& blocks) {
+                               const BlockBuffer& blocks) {
   DPSTORE_CHECK(ns.valid());
   NamespaceHandle::State* state = ns.state_;
   if (blocks.size() != state->n) {
     return InvalidArgumentError("SetArray: wrong block count");
   }
-  for (const Block& b : blocks) {
-    if (b.size() != state->block_size) {
-      return InvalidArgumentError("SetArray: block size mismatch");
-    }
+  if (!blocks.empty() &&
+      (blocks.ragged() || blocks.block_size() != state->block_size)) {
+    return InvalidArgumentError("SetArray: block size mismatch");
   }
   uint64_t lsn = 0;
   {
     StripeLockSet held(state, AllStripesMask(*state), StripeMode::kExclusive);
-    for (uint64_t i = 0; i < state->n; ++i) {
-      CopyBytes(state->Slot(i), blocks[i].data(), state->block_size);
+    if (!blocks.empty()) {
+      CopyBytes(state->base, blocks.AllBytes().data(), blocks.bytes());
     }
     if (journal_ != nullptr && !state->is_private && state->n > 0 &&
         state->block_size > 0) {
@@ -698,7 +697,7 @@ EngineBackend::EngineBackend(std::shared_ptr<StorageEngine> engine,
 }
 
 Status EngineBackend::SetArray(std::vector<Block> blocks) {
-  return engine_->SetArray(ns_, blocks);
+  return engine_->SetArray(ns_, BlockBuffer::Pack(blocks));
 }
 
 Block EngineBackend::PeekBlock(BlockId index) const {

@@ -193,8 +193,10 @@ class StorageEngine : public std::enable_shared_from_this<StorageEngine> {
   StatusOr<StorageReply> ExecuteBatch(unsigned tid, const NamespaceHandle& ns,
                                       const StorageRequest& request);
 
-  /// Whole-arena replacement (setup phase; see StorageBackend::SetArray).
-  Status SetArray(const NamespaceHandle& ns, const std::vector<Block>& blocks);
+  /// Whole-arena replacement (setup phase; see StorageBackend::SetArray)
+  /// from one flat buffer of n blocks — the decoded kSetArray payload is
+  /// copied straight into the arena.
+  Status SetArray(const NamespaceHandle& ns, const BlockBuffer& blocks);
 
   /// Unrecorded single-block read (test assertions / public-database
   /// knowledge). OutOfRange when index >= n.
@@ -213,10 +215,10 @@ class StorageEngine : public std::enable_shared_from_this<StorageEngine> {
   Status Checkpoint();
 
   /// Makes every journal record appended so far fdatasync-durable (group
-  /// commit). The server's worker pool calls this once per fused upload
-  /// batch — with persist.sync_uploads=false on the engine, that is the
-  /// "batch of fused uploads costs one fdatasync" seam; replies must not
-  /// be written to sockets before it returns. No-op when not persistent.
+  /// commit). With persist.sync_uploads=false on the engine, a caller
+  /// that batches uploads calls this once per batch — the "batch of
+  /// uploads costs one fdatasync" seam; acks must not be written before
+  /// it returns. No-op when not persistent.
   Status SyncJournal();
 
  private:

@@ -122,7 +122,6 @@ void SocketBackend::StartConnection(uint64_t n, size_t block_size,
     broken_ = std::move(why);
     return;
   }
-  writer_ = std::thread(&SocketBackend::WriterLoop, this);
   reader_ = std::thread(&SocketBackend::ReaderLoop, this);
   // Open handshake: the server binds this connection to an engine
   // namespace of this geometry (private by default, shared when the
@@ -138,11 +137,10 @@ void SocketBackend::StartConnection(uint64_t n, size_t block_size,
 }
 
 void SocketBackend::TearDownConnection() {
-  // Both loop threads have either exited (they return once broken_ is
-  // set) or are stuck in a syscall on a half-dead peer; shutdown wakes
-  // the stuck ones, exactly as the destructor does.
+  // The reader has either exited (it returns once the stream fails) or is
+  // blocked reading a half-dead peer; shutdown wakes it, exactly as the
+  // destructor does.
   if (fd_ >= 0) ::shutdown(fd_, SHUT_RDWR);
-  if (writer_.joinable()) writer_.join();
   if (reader_.joinable()) reader_.join();
   if (server_.joinable()) server_.join();
   if (fd_ >= 0) ::close(fd_);
@@ -150,8 +148,8 @@ void SocketBackend::TearDownConnection() {
 }
 
 void SocketBackend::MaybeReconnect(std::unique_lock<std::mutex>& lock) {
-  if (broken_.ok() || reconnecting_ || stopping_) return;
-  while (!broken_.ok() && reconnects_left_ > 0 && !stopping_) {
+  if (broken_.ok() || reconnecting_) return;
+  while (!broken_.ok() && reconnects_left_ > 0) {
     --reconnects_left_;
     ++reconnect_attempts_;
     const int attempt = options_.max_reconnects - reconnects_left_;
@@ -172,7 +170,6 @@ void SocketBackend::MaybeReconnect(std::unique_lock<std::mutex>& lock) {
     {
       std::lock_guard<std::mutex> relock(mu_);
       broken_ = OkStatus();
-      out_queue_.clear();
       // Deadline-abandoned exchanges will never be waited again; reap
       // them here so the map only carries parked-but-unwaited replies
       // (which BreakConnectionLocked already failed atomically).
@@ -189,20 +186,12 @@ void SocketBackend::MaybeReconnect(std::unique_lock<std::mutex>& lock) {
 }
 
 SocketBackend::~SocketBackend() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    stopping_ = true;
-  }
-  writer_cv_.notify_all();
-  // Full shutdown BEFORE joining: a peer that stalled (stopped reading,
-  // network partition) leaves the writer blocked in sendmsg and the
-  // reader blocked in read, where neither observes stopping_; shutdown
-  // wakes both (EPIPE / EOF), so destruction can never hang on a bad
-  // peer. Nothing is lost in the clean case: every ticket has been
-  // waited by contract, which implies every queued frame was written and
-  // every reply consumed.
+  // Full shutdown BEFORE joining: a peer that stalled (stopped writing,
+  // network partition) leaves the reader blocked in read; shutdown wakes
+  // it (EOF), so destruction can never hang on a bad peer. Nothing is
+  // lost in the clean case: every ticket has been waited by contract,
+  // which implies every reply was consumed.
   if (fd_ >= 0) ::shutdown(fd_, SHUT_RDWR);
-  if (writer_.joinable()) writer_.join();
   if (reader_.joinable()) reader_.join();
   if (server_.joinable()) server_.join();
   if (fd_ >= 0) ::close(fd_);
@@ -282,12 +271,14 @@ Ticket SocketBackend::Submit(StorageRequest request) {
   flight->record = true;
   flight->deadline_ms = request.deadline_ms;
   flight->submitted = std::chrono::steady_clock::now();
+  const auto deadline =
+      request.deadline_ms > 0
+          ? flight->submitted + std::chrono::milliseconds(request.deadline_ms)
+          : std::chrono::steady_clock::time_point::max();
   in_flight_.emplace(ticket, std::move(flight));
-  OutFrame out;
-  out.head = std::move(frame.head);
-  out.body_owner = std::move(request.payload);  // keeps frame.body alive
-  out_queue_.push_back(std::move(out));
-  writer_cv_.notify_one();
+  lock.unlock();
+  // frame.body aliases request.payload, which outlives the write.
+  SendFrame(frame, deadline);
   return ticket;
 }
 
@@ -349,7 +340,7 @@ StatusOr<StorageReply> SocketBackend::Wait(Ticket ticket) {
 Block SocketBackend::PeekBlock(BlockId index) const {
   DPSTORE_CHECK_LT(index, n_);
   // Peek is morally const (an unrecorded read) but must travel the same
-  // writer/reader machinery as everything else.
+  // frame/reply machinery as everything else.
   auto* self = const_cast<SocketBackend*>(this);
   StatusOr<StorageReply> reply = self->ControlRoundTrip(
       wire::FrameType::kPeek, index, 0, BlockBuffer());
@@ -396,7 +387,7 @@ Ticket SocketBackend::ParkImmediateLocked(StatusOr<StorageReply> reply) {
 
 StatusOr<StorageReply> SocketBackend::ControlRoundTrip(
     wire::FrameType type, uint64_t aux, uint32_t block_size,
-    BlockBuffer body_owner) {
+    const BlockBuffer& body) {
   std::unique_lock<std::mutex> lock(mu_);
   if (type != wire::FrameType::kOpen) MaybeReconnect(lock);
   if (!broken_.ok()) return broken_;
@@ -405,56 +396,35 @@ StatusOr<StorageReply> SocketBackend::ControlRoundTrip(
   flight->expected_blocks = type == wire::FrameType::kPeek ? 1 : 0;
   InFlight* slot = flight.get();
   in_flight_.emplace(ticket, std::move(flight));
-  OutFrame out;
+  wire::EncodedFrame frame;
   if (type == wire::FrameType::kSetArray) {
-    wire::EncodedFrame frame = wire::EncodeSetArray(body_owner, ticket);
-    out.head = std::move(frame.head);
-    out.body_owner = std::move(body_owner);
+    frame = wire::EncodeSetArray(body, ticket);  // aliases `body`
   } else if (type == wire::FrameType::kOpen) {
     // The handshake carries the namespace binding from the options:
     // private by default, or attach-or-create of a shared namespace.
-    wire::EncodedFrame frame =
+    frame =
         wire::EncodeOpen(ticket, aux, block_size, namespace_id_, open_mode_);
-    out.head = std::move(frame.head);
   } else {
-    wire::EncodedFrame frame =
-        wire::EncodeControl(type, ticket, aux, block_size);
-    out.head = std::move(frame.head);
+    frame = wire::EncodeControl(type, ticket, aux, block_size);
   }
-  out_queue_.push_back(std::move(out));
-  writer_cv_.notify_one();
+  lock.unlock();
+  SendFrame(frame, std::chrono::steady_clock::time_point::max());
+  lock.lock();
   reply_cv_.wait(lock, [slot] { return slot->done; });
   StatusOr<StorageReply> reply = std::move(slot->reply);
   in_flight_.erase(ticket);
   return reply;
 }
 
-void SocketBackend::WriterLoop() {
-  for (;;) {
-    OutFrame out;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      writer_cv_.wait(lock, [this] {
-        return stopping_ || !out_queue_.empty() || !broken_.ok();
-      });
-      if (!broken_.ok()) return;
-      if (out_queue_.empty()) {
-        if (stopping_) return;
-        continue;
-      }
-      out = std::move(out_queue_.front());
-      out_queue_.pop_front();
-    }
-    wire::EncodedFrame frame;
-    frame.head = std::move(out.head);
-    frame.body = out.body_owner.AllBytes();
-    Status written = wire::WriteFrame(fd_, frame);
-    if (!written.ok()) {
-      std::lock_guard<std::mutex> lock(mu_);
-      BreakConnectionLocked(std::move(written));
-      return;
-    }
-  }
+void SocketBackend::SendFrame(const wire::EncodedFrame& frame,
+                              std::chrono::steady_clock::time_point deadline) {
+  Status written = wire::WriteFrame(fd_, frame, deadline);
+  if (written.ok()) return;
+  // A frame that did not go out whole (deadline mid-frame, peer gone)
+  // leaves the stream unresyncable: break the connection, failing every
+  // exchange in flight; the reconnect budget applies at the next call.
+  std::lock_guard<std::mutex> lock(mu_);
+  BreakConnectionLocked(std::move(written));
 }
 
 void SocketBackend::ReaderLoop() {
@@ -462,7 +432,7 @@ void SocketBackend::ReaderLoop() {
   for (;;) {
     StatusOr<wire::DecodedFrame> frame = wire::ReadFrame(fd_, &scratch);
     const auto parked = std::chrono::steady_clock::now();
-    std::lock_guard<std::mutex> lock(mu_);
+    std::unique_lock<std::mutex> lock(mu_);
     if (!frame.ok()) {
       // Clean EOF during shutdown is the expected end of the stream;
       // anything else (mid-frame EOF, corrupt frame, I/O error) breaks
@@ -510,6 +480,8 @@ void SocketBackend::ReaderLoop() {
     }
     slot->parked = parked;
     slot->done = true;
+    // Notify after unlocking, so the woken Wait does not block on mu_.
+    lock.unlock();
     reply_cv_.notify_all();
   }
 }
@@ -535,7 +507,6 @@ void SocketBackend::BreakConnectionLocked(Status why) {
     ++it;
   }
   reply_cv_.notify_all();
-  writer_cv_.notify_all();
 }
 
 BackendFactory SocketBackendFactory(SocketBackendOptions options,

@@ -12,7 +12,6 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -69,16 +68,24 @@ struct SocketBackendOptions {
 
 /// StorageBackend whose server is on the far side of a socket.
 ///
-/// Submit serializes the exchange and enqueues it onto a writer thread
-/// (never blocking on the socket), so `RunExchangePipeline` depth actually
+/// Submit serializes the exchange and writes the frame on the caller's
+/// thread, so frames leave in ticket order and `RunExchangePipeline` depth
 /// overlaps exchanges on the wire; a reader thread parks ticket-correlated
-/// replies as they arrive. Wait blocks until its reply is parked, records
-/// the transcript exactly as the in-memory backend would (events at Wait,
-/// in submission order — the AsyncShardedBackend discipline, so the
-/// adversary's view is bit-identical to `memory` when exchanges are
-/// awaited in submission order, which every scheme's narrow calls do), and
-/// accumulates MEASURED wall-clock per exchange alongside the modeled
-/// CostModel axes (TransportStats::measured_wall_ms).
+/// replies as they arrive. Because the reader always drains replies, an
+/// inline write can only block on a peer that stopped reading, never on
+/// this client's own unread replies. A request with `deadline_ms` never
+/// blocks past it in Submit either: the write polls for room until the
+/// deadline, and a frame that could not go out whole breaks the connection
+/// (the stream cannot be resynced; the reconnect budget applies). Control
+/// frames (Open/SetArray/Peek/Corrupt) are written without a deadline.
+///
+/// Wait blocks until its reply is parked, records the transcript exactly
+/// as the in-memory backend would (events at Wait, in submission order —
+/// the AsyncShardedBackend discipline, so the adversary's view is
+/// bit-identical to `memory` when exchanges are awaited in submission
+/// order, which every scheme's narrow calls do), and accumulates MEASURED
+/// wall-clock per exchange alongside the modeled CostModel axes
+/// (TransportStats::measured_wall_ms).
 ///
 /// Error semantics match the in-process backends: validation errors and
 /// injected faults are decided locally at Submit (nothing crosses the
@@ -89,8 +96,8 @@ struct SocketBackendOptions {
 /// Submit) so the failure model is identical across backends.
 ///
 /// Thread safety: Submit/Wait and the control surface may be called from
-/// one client thread, as for every other backend; the writer/reader
-/// threads are internal.
+/// one client thread, as for every other backend — which is also what
+/// keeps inline writes in ticket order; the reader thread is internal.
 class SocketBackend : public StorageBackend {
  public:
   /// Connects per `options` and performs the Open handshake for an
@@ -172,13 +179,6 @@ class SocketBackend : public StorageBackend {
     std::chrono::steady_clock::time_point parked;
   };
 
-  /// A frame queued for the writer thread. `body_owner` keeps the flat
-  /// payload region the encoded frame aliases alive until written.
-  struct OutFrame {
-    std::vector<uint8_t> head;
-    BlockBuffer body_owner;
-  };
-
   void StartConnection(uint64_t n, size_t block_size,
                        const SocketBackendOptions& options);
   /// If the connection is broken and reconnect budget remains, tears it
@@ -187,22 +187,26 @@ class SocketBackend : public StorageBackend {
   /// while dialing; no-op while a reconnect is already running (the
   /// re-Open handshake itself calls back into ControlRoundTrip).
   void MaybeReconnect(std::unique_lock<std::mutex>& lock);
-  /// Joins the dead writer/reader (and fallback server) threads and
-  /// closes the socket. Called with mu_ NOT held.
+  /// Joins the dead reader (and fallback server) threads and closes the
+  /// socket. Called with mu_ NOT held.
   void TearDownConnection();
-  void WriterLoop();
   void ReaderLoop();
+  /// Writes one frame on the caller's thread, never past `deadline`;
+  /// breaks the connection if the frame did not go out whole. Called with
+  /// mu_ NOT held (the reader must stay free to park replies meanwhile).
+  void SendFrame(const wire::EncodedFrame& frame,
+                 std::chrono::steady_clock::time_point deadline);
   /// Fails every in-flight exchange and latches `why`. Requires mu_.
   void BreakConnectionLocked(Status why);
   /// Parks an already-decided reply under a fresh ticket (validation
   /// error, injected fault, no-op): never recorded, never measured.
   Ticket ParkImmediateLocked(StatusOr<StorageReply> reply);
   /// Sends one control frame and blocks for its reply (cold paths:
-  /// Open/SetArray/Peek/Corrupt). `body_owner` is the payload a kSetArray
-  /// frame ships; empty otherwise.
+  /// Open/SetArray/Peek/Corrupt). `body` is the payload a kSetArray frame
+  /// ships; empty otherwise.
   StatusOr<StorageReply> ControlRoundTrip(wire::FrameType type, uint64_t aux,
                                           uint32_t block_size,
-                                          BlockBuffer body_owner);
+                                          const BlockBuffer& body);
 
   uint64_t n_ = 0;
   size_t block_size_ = 0;
@@ -212,18 +216,14 @@ class SocketBackend : public StorageBackend {
   /// Connection options, kept for redialing.
   SocketBackendOptions options_;
   int fd_ = -1;
-  std::thread writer_;
   std::thread reader_;
   /// In-process fallback server (socketpair mode only).
   std::thread server_;
 
   mutable std::mutex mu_;
   mutable std::condition_variable reply_cv_;
-  std::condition_variable writer_cv_;
-  std::deque<OutFrame> out_queue_;
   std::unordered_map<Ticket, std::unique_ptr<InFlight>> in_flight_;
   Ticket next_ticket_ = 1;
-  bool stopping_ = false;
   Status broken_ = OkStatus();
   double measured_wall_ms_ = 0.0;
   /// Remaining reconnect budget / total attempts made (under mu_).

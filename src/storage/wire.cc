@@ -1,10 +1,12 @@
 #include "storage/wire.h"
 
 #include <errno.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <sys/uio.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstring>
 #include <utility>
 
@@ -287,7 +289,8 @@ StatusOr<DecodedFrame> DecodeFrame(BlockView bytes) {
   return InternalError("wire: unreachable frame type");
 }
 
-Status WriteFrame(int fd, const EncodedFrame& frame) {
+Status WriteFrame(int fd, const EncodedFrame& frame,
+                  std::chrono::steady_clock::time_point deadline) {
   // The writer side of the length-prefix contract: a frame beyond the cap
   // would be rejected by any conforming reader — and beyond u32, its
   // truncated prefix would desynchronize the stream. Refuse to put it on
@@ -305,13 +308,32 @@ Status WriteFrame(int fd, const EncodedFrame& frame) {
   iov[1].iov_len = frame.body.size();
   int iovcnt = frame.body.empty() ? 1 : 2;
   struct iovec* cursor = iov;
+  // MSG_DONTWAIT per send rather than O_NONBLOCK on the socket: a reader
+  // thread may be blocked reading the same descriptor.
+  const bool bounded = deadline != std::chrono::steady_clock::time_point::max();
+  const int flags = MSG_NOSIGNAL | (bounded ? MSG_DONTWAIT : 0);
   while (iovcnt > 0) {
     // sendmsg(MSG_NOSIGNAL), not writev: a peer that vanished mid-write
     // must surface as EPIPE, not kill the process with SIGPIPE.
     struct msghdr msg{};
     msg.msg_iov = cursor;
     msg.msg_iovlen = iovcnt;
-    const ssize_t wrote = io::SendmsgEintr(fd, &msg, MSG_NOSIGNAL);
+    const ssize_t wrote = io::SendmsgEintr(fd, &msg, flags);
+    if (wrote < 0 && bounded && (errno == EAGAIN || errno == EWOULDBLOCK)) {
+      const auto left = deadline - std::chrono::steady_clock::now();
+      if (left <= std::chrono::steady_clock::duration::zero()) {
+        return DeadlineExceededError(
+            "wire: frame not written before its deadline");
+      }
+      // Round up so a sub-millisecond remainder still sleeps.
+      const auto left_ms =
+          std::chrono::duration_cast<std::chrono::milliseconds>(left).count() +
+          1;
+      struct pollfd writable{fd, POLLOUT, 0};
+      ::poll(&writable, 1,
+             static_cast<int>(std::min<int64_t>(left_ms, 1 << 30)));
+      continue;
+    }
     if (wrote < 0) {
       return UnavailableError(std::string("wire: write failed: ") +
                               std::strerror(errno));

@@ -27,6 +27,7 @@
 /// untrusted peer. The fuzz-ish table test in tests/wire_test.cc holds the
 /// codec to this.
 
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -177,8 +178,13 @@ StatusOr<DecodedFrame> DecodeFrame(BlockView bytes);
 // --- POSIX stream I/O --------------------------------------------------------
 
 /// Writes `frame` to `fd` (both writev legs), looping on short writes.
-/// Unavailable on EOF/EPIPE or I/O error.
-Status WriteFrame(int fd, const EncodedFrame& frame);
+/// Unavailable on EOF/EPIPE or I/O error. With a finite `deadline` the
+/// write never blocks past it (non-blocking sends plus poll(POLLOUT)):
+/// DeadlineExceeded if the frame is not fully written by then, leaving a
+/// partial frame on the stream.
+Status WriteFrame(int fd, const EncodedFrame& frame,
+                  std::chrono::steady_clock::time_point deadline =
+                      std::chrono::steady_clock::time_point::max());
 
 /// Reads one length-prefixed frame body from `fd` into `*scratch` (resized
 /// as needed, reused across calls) and returns the decoded frame.

@@ -555,7 +555,7 @@ std::vector<Block> RunEngineWorkload(StorageEngine* engine,
                                      NamespaceHandle* ns) {
   std::vector<Block> model(kEngN);
   for (uint64_t i = 0; i < kEngN; ++i) model[i] = MarkerBlock(i, kEngBs);
-  EXPECT_TRUE(engine->SetArray(*ns, model).ok());
+  EXPECT_TRUE(engine->SetArray(*ns, BlockBuffer::Pack(model)).ok());
   const std::vector<BlockId> indices = {1, 5, 5, 30};
   std::vector<Block> blocks;
   for (size_t i = 0; i < indices.size(); ++i) {

@@ -19,9 +19,11 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
+#include <future>
 #include <memory>
 #include <string>
 #include <thread>
@@ -188,7 +190,8 @@ void HostileServer(int fd, HostileReply make_reply) {
 }
 
 /// Connects a SocketBackend to a hostile server via a Unix socket bridge:
-/// a listener whose accepted connection is pumped by HostileServer.
+/// a listener whose accepted connection is pumped by `serve` (by default
+/// HostileServer).
 class HostileListener {
  public:
   /// Convenience: a fixed byte string, ignoring the ticket.
@@ -196,7 +199,13 @@ class HostileListener {
       : HostileListener(HostileReply(
             [bytes = std::move(reply_bytes)](uint64_t) { return bytes; })) {}
 
-  explicit HostileListener(HostileReply make_reply) {
+  explicit HostileListener(HostileReply make_reply)
+      : HostileListener(std::function<void(int)>(
+            [maker = std::move(make_reply)](int fd) {
+              HostileServer(fd, maker);
+            })) {}
+
+  explicit HostileListener(std::function<void(int)> serve) {
     path_ = ::testing::TempDir() + "dpstore_hostile_" +
             std::to_string(::getpid()) + "_" + std::to_string(counter_++) +
             ".sock";
@@ -210,9 +219,9 @@ class HostileListener {
                      sizeof(addr)),
               0);
     EXPECT_EQ(::listen(listen_fd_, 1), 0);
-    acceptor_ = std::thread([this, maker = std::move(make_reply)]() mutable {
+    acceptor_ = std::thread([this, serve = std::move(serve)] {
       const int conn = ::accept(listen_fd_, nullptr, nullptr);
-      if (conn >= 0) HostileServer(conn, std::move(maker));
+      if (conn >= 0) serve(conn);
     });
   }
   ~HostileListener() {
@@ -302,6 +311,51 @@ TEST(SocketBackendTest, WellFormedReplyWithWrongGeometryFailsNotCrashes) {
     EXPECT_EQ(reply.status().code(), StatusCode::kUnavailable);
     EXPECT_EQ(backend.transcript().TotalBlocksMoved(), 0u);
   }
+}
+
+TEST(SocketBackendTest, SubmitIsBoundedByItsDeadlineWhenThePeerStopsReading) {
+  // A server that acks the Open handshake and then never reads again.
+  // Submit writes on the caller's thread, so a multi-MiB upload fills the
+  // socket buffers; it must give up at the exchange's deadline (breaking
+  // the connection: half a frame is on the stream) rather than block.
+  std::promise<void> release;
+  std::shared_future<void> released = release.get_future().share();
+  HostileListener mute(std::function<void(int)>([released](int fd) {
+    std::vector<uint8_t> scratch;
+    auto open = wire::ReadFrame(fd, &scratch);
+    if (open.ok()) {
+      static const BlockBuffer kEmpty;
+      (void)wire::WriteFrame(
+          fd, wire::EncodeReplyBlocks(kEmpty, open->header.ticket));
+      released.wait();
+    }
+    ::close(fd);
+  }));
+  constexpr uint64_t kN = 1024;
+  constexpr size_t kBlock = 4096;  // a 4 MiB upload
+  SocketBackendOptions options;
+  options.socket_path = mute.path();
+  const auto start = std::chrono::steady_clock::now();
+  {
+    SocketBackend backend(kN, kBlock, options);
+    ASSERT_TRUE(backend.ConnectionStatus().ok());
+    StorageRequest upload;
+    upload.op = StorageRequest::Op::kUpload;
+    upload.payload = BlockBuffer(kBlock);
+    for (uint64_t i = 0; i < kN; ++i) {
+      upload.indices.push_back(i);
+      upload.payload.Append(MarkerBlock(i, kBlock));
+    }
+    upload.deadline_ms = 50;
+    auto reply = backend.Wait(backend.Submit(std::move(upload)));
+    ASSERT_FALSE(reply.ok());
+    EXPECT_TRUE(reply.status().code() == StatusCode::kDeadlineExceeded ||
+                reply.status().code() == StatusCode::kUnavailable)
+        << reply.status();
+    EXPECT_EQ(backend.transcript().TotalBlocksMoved(), 0u);
+  }  // the destructor must not hang on the stalled peer either
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(5));
+  release.set_value();
 }
 
 TEST(SocketBackendTest, ServerCapsHostileDownloadReplySize) {

@@ -13,12 +13,16 @@
 //      their stripes, yet an eval still scans one whole-arena snapshot and
 //      a stream of overlapping evals cannot starve a writer;
 //   4. the StorageService serves N connections as tenants of one engine
-//      (shared-namespace visibility across live socket connections).
+//      (shared-namespace visibility across live socket connections), at
+//      most `num_threads` exchanges at once: frames read while every
+//      execution slot is held queue, fuse across connections of one
+//      namespace, and never starve the draining reader's own client.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -668,6 +672,183 @@ TEST(StorageServiceTest, RefusesConnectionsBeyondMaxConns) {
   const StorageServiceCounters counters = service.Counters();
   EXPECT_EQ(counters.connections_accepted, 1u);
   EXPECT_EQ(counters.connections_rejected, 1u);
+}
+
+/// Polls `done` (a predicate over the service counters) for up to 10 s.
+template <typename Pred>
+bool EventuallyCounters(const StorageService& service, Pred done) {
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!done(service.Counters())) {
+    if (std::chrono::steady_clock::now() > give_up) return false;
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+  }
+  return true;
+}
+
+/// Opens `count` raw connections on shared namespace `id` (n x bs).
+std::vector<WireClient> OpenShared(StorageService& service, size_t count,
+                                   uint64_t id, uint64_t n, uint32_t bs) {
+  std::vector<WireClient> clients(count);
+  for (WireClient& client : clients) {
+    int fds[2];
+    EXPECT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+    EXPECT_TRUE(service.HandleConnection(fds[1]));
+    client.fd = fds[0];
+    StatusOr<wire::DecodedFrame> ack = client.RoundTrip(
+        wire::EncodeOpen(client.next_ticket++, n, bs, id, /*mode=*/1));
+    EXPECT_TRUE(ack.ok() &&
+                ack->header.type == wire::FrameType::kReplyBlocks);
+  }
+  return clients;
+}
+
+StorageRequest DownloadRequest(std::vector<BlockId> indices) {
+  StorageRequest request;
+  request.op = StorageRequest::Op::kDownload;
+  request.indices = std::move(indices);
+  return request;
+}
+
+// A 4 MiB reply cannot fit a socketpair's buffers, so a client that sends
+// such a download and does not read holds the service's only slot in the
+// reply write for as long as it likes.
+constexpr uint64_t kBigN = 1024;
+constexpr uint32_t kBigBlock = 4096;
+
+std::vector<BlockId> AllIndices(uint64_t n) {
+  std::vector<BlockId> all(n);
+  for (uint64_t i = 0; i < n; ++i) all[i] = i;
+  return all;
+}
+
+TEST(StorageServiceTest, QueuedFramesFuseAcrossConnectionsBehindTheOnlySlot) {
+  StorageServiceOptions options;
+  options.num_threads = 1;
+  StorageService service(options);
+  std::vector<WireClient> clients =
+      OpenShared(service, 3, /*id=*/7, kBigN, kBigBlock);
+  WireClient& a = clients[0];
+  WireClient& b = clients[1];
+  WireClient& c = clients[2];
+  StatusOr<wire::DecodedFrame> set = a.RoundTrip(wire::EncodeSetArray(
+      BlockBuffer::Pack(MarkerDatabase(kBigN, kBigBlock)), a.next_ticket++));
+  ASSERT_TRUE(set.ok());
+  ASSERT_EQ(set->header.type, wire::FrameType::kReplyBlocks);
+  // A set-up frame can already have queued: a client sees its reply
+  // before the executing reader has released the slot.
+  const uint64_t engine_before = service.Counters().engine.exchanges;
+  const uint64_t queued_before = service.Counters().frames_queued;
+
+  // A takes the slot: its reader executes the whole-arena download, then
+  // blocks writing a reply nobody reads yet.
+  ASSERT_TRUE(wire::WriteFrame(a.fd, wire::EncodeRequest(
+                                         DownloadRequest(AllIndices(kBigN)),
+                                         a.next_ticket++))
+                  .ok());
+  ASSERT_TRUE(EventuallyCounters(service, [&](const auto& counters) {
+    return counters.engine.exchanges == engine_before + 1;
+  }));
+  // B and C find no free slot: their readers queue the frames and go back
+  // to reading.
+  ASSERT_TRUE(wire::WriteFrame(b.fd, wire::EncodeRequest(
+                                         DownloadRequest({1, 2}),
+                                         b.next_ticket++))
+                  .ok());
+  ASSERT_TRUE(wire::WriteFrame(c.fd, wire::EncodeRequest(
+                                         DownloadRequest({3}),
+                                         c.next_ticket++))
+                  .ok());
+  ASSERT_TRUE(EventuallyCounters(service, [&](const auto& counters) {
+    return counters.frames_queued == queued_before + 2;
+  }));
+  EXPECT_EQ(service.Counters().exchanges_served, 0u);
+
+  // A reads its reply; the slot's release drains the queue, and the two
+  // same-namespace downloads ride one fused engine exchange.
+  StatusOr<wire::DecodedFrame> whole = wire::ReadFrame(a.fd, &a.scratch);
+  ASSERT_TRUE(whole.ok());
+  ASSERT_EQ(whole->payload.size(), kBigN);
+  for (uint64_t i = 0; i < kBigN; ++i) {
+    ASSERT_EQ(ToBlock(whole->payload[i]), MarkerBlock(i, kBigBlock)) << i;
+  }
+  StatusOr<wire::DecodedFrame> got_b = wire::ReadFrame(b.fd, &b.scratch);
+  ASSERT_TRUE(got_b.ok());
+  ASSERT_EQ(got_b->payload.size(), 2u);
+  EXPECT_EQ(got_b->header.ticket, b.next_ticket - 1);
+  EXPECT_EQ(ToBlock(got_b->payload[0]), MarkerBlock(1, kBigBlock));
+  EXPECT_EQ(ToBlock(got_b->payload[1]), MarkerBlock(2, kBigBlock));
+  StatusOr<wire::DecodedFrame> got_c = wire::ReadFrame(c.fd, &c.scratch);
+  ASSERT_TRUE(got_c.ok());
+  ASSERT_EQ(got_c->payload.size(), 1u);
+  EXPECT_EQ(got_c->header.ticket, c.next_ticket - 1);
+  EXPECT_EQ(ToBlock(got_c->payload[0]), MarkerBlock(3, kBigBlock));
+
+  for (const WireClient& client : clients) ::close(client.fd);
+  service.Drain();
+  const StorageServiceCounters counters = service.Counters();
+  EXPECT_EQ(counters.fused_batches, 1u);
+  EXPECT_EQ(counters.fused_frames, 2u);
+  EXPECT_EQ(counters.frames_queued, queued_before + 2);
+  EXPECT_EQ(counters.exchanges_served, 3u);  // A, B, C downloads
+  EXPECT_EQ(counters.frames_served, 7u);     // + three Opens and SetArray
+  EXPECT_EQ(counters.engine.exchanges, engine_before + 2);
+}
+
+TEST(StorageServiceTest, DrainingReaderStillServesItsOwnClient) {
+  // A reader that releases the only slot drains the queue first. If other
+  // connections kept that queue full, the drainer's own client would wait
+  // for all of them; instead its next frame, once buffered, takes its
+  // turn among theirs.
+  StorageServiceOptions options;
+  options.num_threads = 1;
+  options.fuse_blocks = 1;
+  StorageService service(options);
+  std::vector<WireClient> clients =
+      OpenShared(service, 2, /*id=*/9, kBigN, kBigBlock);
+  WireClient& a = clients[0];
+  WireClient& b = clients[1];
+  const uint64_t queued_before = service.Counters().frames_queued;
+  ASSERT_TRUE(wire::WriteFrame(a.fd, wire::EncodeRequest(
+                                         DownloadRequest(AllIndices(kBigN)),
+                                         a.next_ticket++))
+                  .ok());
+  ASSERT_TRUE(EventuallyCounters(service, [](const auto& counters) {
+    return counters.engine.exchanges == 1;
+  }));
+
+  // B queues a long pipeline behind A's slot; with fusion off, every
+  // frame is its own engine exchange.
+  constexpr uint64_t kPipeline = 4000;
+  std::thread b_replies([&b] {
+    for (uint64_t i = 0; i < kPipeline; ++i) {
+      if (!wire::ReadFrame(b.fd, &b.scratch).ok()) return;
+    }
+  });
+  for (uint64_t i = 0; i < kPipeline; ++i) {
+    ASSERT_TRUE(wire::WriteFrame(b.fd, wire::EncodeRequest(
+                                           DownloadRequest({i % kBigN}),
+                                           b.next_ticket++))
+                    .ok());
+  }
+  ASSERT_TRUE(EventuallyCounters(service, [&](const auto& counters) {
+    return counters.frames_queued == queued_before + kPipeline;
+  }));
+
+  // A reads its reply — its reader now drains B's pipeline — and at once
+  // sends one more request, which must not wait for the whole pipeline.
+  ASSERT_TRUE(wire::ReadFrame(a.fd, &a.scratch).ok());
+  StatusOr<wire::DecodedFrame> next =
+      a.RoundTrip(wire::EncodeRequest(DownloadRequest({7}), a.next_ticket++));
+  const uint64_t served_by_then = service.Counters().exchanges_served;
+  ASSERT_TRUE(next.ok());
+  EXPECT_EQ(ToBlock(next->payload[0]), Block(kBigBlock, 0));
+  EXPECT_LT(served_by_then, kPipeline + 2);
+
+  b_replies.join();
+  for (const WireClient& client : clients) ::close(client.fd);
+  service.Drain();
+  EXPECT_EQ(service.Counters().exchanges_served, kPipeline + 2);
 }
 
 }  // namespace
