@@ -1,6 +1,5 @@
 #include "server/storage_service.h"
 
-#include <sys/ioctl.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -156,22 +155,6 @@ bool FusableFrame(const wire::DecodedFrame& frame, const NamespaceHandle& ns) {
          frame.payload.block_size() == ns.block_size();
 }
 
-/// True when a whole frame is already buffered on `fd`, so ReadFrame
-/// returns without blocking. A partly received frame reads as false.
-bool FrameBuffered(int fd) {
-  uint8_t prefix[4];
-  if (::recv(fd, prefix, sizeof(prefix), MSG_PEEK | MSG_DONTWAIT) !=
-      static_cast<ssize_t>(sizeof(prefix))) {
-    return false;
-  }
-  int buffered = 0;
-  if (::ioctl(fd, FIONREAD, &buffered) != 0) return false;
-  const uint64_t length = uint64_t{prefix[0]} | uint64_t{prefix[1]} << 8 |
-                          uint64_t{prefix[2]} << 16 |
-                          uint64_t{prefix[3]} << 24;
-  return static_cast<uint64_t>(buffered) >= sizeof(prefix) + length;
-}
-
 }  // namespace
 
 /// One decoded frame plus when the reader enqueued it — the age the
@@ -181,12 +164,15 @@ struct QueuedFrame {
   std::chrono::steady_clock::time_point arrival;
 };
 
-/// One socket tenant. All fields except `fd` (set once before the reader
-/// starts) and `reader` (joined only after `done`) are guarded by the
-/// service mutex; `ns`, `version` and the socket writes are additionally
-/// touched only by the slot holder that holds the connection `busy`.
+/// One socket tenant. All fields except `fd` and `frames` (set once before
+/// the reader starts; `frames` is then the reader's alone) and `reader`
+/// (joined only after `done`) are guarded by the service mutex; `ns`,
+/// `version` and the socket writes are additionally touched only by the
+/// slot holder that holds the connection `busy`.
 struct StorageService::Connection {
   int fd = -1;
+  /// Buffers `fd`'s request stream.
+  wire::FrameReader frames;
   std::thread reader;
   std::deque<QueuedFrame> queue;
   bool scheduled = false;     ///< in ready_
@@ -275,6 +261,7 @@ std::shared_ptr<StorageService::Connection> StorageService::AdmitLocked(
   }
   auto conn = std::make_shared<Connection>();
   conn->fd = fd;
+  conn->frames = wire::FrameReader(fd);
   ++counters_.connections_accepted;
   ++counters_.connections_active;
   conns_.push_back(conn);
@@ -282,18 +269,17 @@ std::shared_ptr<StorageService::Connection> StorageService::AdmitLocked(
 }
 
 void StorageService::ReaderLoop(const std::shared_ptr<Connection>& conn) {
-  std::vector<uint8_t> scratch;
   std::unique_lock<std::mutex> lock(mu_);
   while (!conn->reader_done) {
     lock.unlock();
-    StatusOr<wire::DecodedFrame> frame = wire::ReadFrame(conn->fd, &scratch);
+    StatusOr<wire::DecodedFrame> frame = conn->frames.Read();
     lock.lock();
     const bool queued = AcceptFrameLocked(conn, std::move(frame));
     if (!ready_.empty() && !free_slots_.empty()) {
       // Run to completion: a slot is free only while ready_ is empty, so
       // the one ready connection is this one and this thread executes its
       // frame and writes the reply itself.
-      ExecuteReadyLocked(lock, conn, &scratch);
+      ExecuteReadyLocked(lock, conn);
     } else if (queued) {
       ++counters_.frames_queued;
     }
@@ -315,7 +301,7 @@ bool StorageService::AcceptFrameLocked(const std::shared_ptr<Connection>& conn,
 
 void StorageService::ExecuteReadyLocked(
     std::unique_lock<std::mutex>& lock,
-    const std::shared_ptr<Connection>& reader, std::vector<uint8_t>* scratch) {
+    const std::shared_ptr<Connection>& reader) {
   const unsigned tid = free_slots_.back();
   free_slots_.pop_back();
   while (!ready_.empty()) {
@@ -328,19 +314,18 @@ void StorageService::ExecuteReadyLocked(
       conn->busy = false;
     }
     ScheduleLocked(conn);
-    // Fairness: while others wait, a frame already buffered on this
-    // thread's own socket joins the line behind them. Otherwise a reader
-    // draining a ready list that other connections keep refilling would
-    // leave its own client's next request unread indefinitely.
+    // Fairness: while others wait, a frame this thread can read without
+    // blocking (already whole in its reader's buffer, or in the socket)
+    // joins the line behind them. Otherwise a reader draining a ready
+    // list that other connections keep refilling would leave its own
+    // client's next request unread indefinitely.
     if (ready_.empty() || reader->reader_done || reader->write_failed ||
         !reader->queue.empty()) {
       continue;
     }
     lock.unlock();
     std::optional<StatusOr<wire::DecodedFrame>> pulled;
-    if (FrameBuffered(reader->fd)) {
-      pulled = wire::ReadFrame(reader->fd, scratch);
-    }
+    if (reader->frames.Poll()) pulled = reader->frames.Read();
     lock.lock();
     if (pulled.has_value() && AcceptFrameLocked(reader, std::move(*pulled))) {
       ++counters_.frames_queued;

@@ -142,12 +142,11 @@ class StorageService {
                          StatusOr<wire::DecodedFrame> frame);
   /// Holds one execution slot on behalf of `reader`'s thread and executes
   /// the ready list until it is empty, then releases the slot. Between
-  /// groups, while others wait, pulls a frame already buffered on
-  /// `reader`'s own socket into the queue so its client waits its turn
-  /// instead of starving. Requires mu_ and a free slot.
+  /// groups, while others wait, pulls a frame `reader`'s own connection
+  /// can deliver without blocking into the queue, so its client waits its
+  /// turn instead of starving. Requires mu_ and a free slot.
   void ExecuteReadyLocked(std::unique_lock<std::mutex>& lock,
-                          const std::shared_ptr<Connection>& reader,
-                          std::vector<uint8_t>* scratch);
+                          const std::shared_ptr<Connection>& reader);
   /// Executes one connection's head-of-queue group (plus harvested
   /// same-direction requests from other ready connections). mu_ held on
   /// entry and exit, released around engine execution and socket writes.

@@ -77,32 +77,24 @@ int ConnectTcp(const std::string& host, uint16_t port, Status* why) {
   return fd;
 }
 
-double MsBetween(std::chrono::steady_clock::time_point a,
-                 std::chrono::steady_clock::time_point b) {
-  return std::chrono::duration<double, std::milli>(b - a).count();
-}
-
 }  // namespace
 
 SocketBackend::SocketBackend(uint64_t n, size_t block_size,
                              SocketBackendOptions options)
     : n_(n),
       block_size_(block_size),
-      namespace_id_(options.namespace_id),
-      open_mode_(options.attach_or_create ? 1 : 0),
       options_(std::move(options)),
       reconnects_left_(options_.max_reconnects),
       backoff_rng_(options_.reconnect_seed) {
-  StartConnection(n, block_size, options_);
+  StartConnection();
 }
 
-void SocketBackend::StartConnection(uint64_t n, size_t block_size,
-                                    const SocketBackendOptions& options) {
+void SocketBackend::StartConnection() {
   Status why = OkStatus();
-  if (!options.socket_path.empty()) {
-    fd_ = ConnectUnix(options.socket_path, &why);
-  } else if (!options.host.empty()) {
-    fd_ = ConnectTcp(options.host, options.port, &why);
+  if (!options_.socket_path.empty()) {
+    fd_ = ConnectUnix(options_.socket_path, &why);
+  } else if (!options_.host.empty()) {
+    fd_ = ConnectTcp(options_.host, options_.port, &why);
   } else {
     // In-process fallback: the same dispatch loop dpstore_server runs,
     // served from a thread over a socketpair.
@@ -118,37 +110,33 @@ void SocketBackend::StartConnection(uint64_t n, size_t block_size,
     }
   }
   if (fd_ < 0) {
-    std::lock_guard<std::mutex> lock(mu_);
     broken_ = std::move(why);
     return;
   }
-  reader_ = std::thread(&SocketBackend::ReaderLoop, this);
+  frames_ = wire::FrameReader(fd_);
   // Open handshake: the server binds this connection to an engine
   // namespace of this geometry (private by default, shared when the
   // options say so). A rejection (or transport failure) latches as
   // broken_, so every later operation reports the root cause.
   StatusOr<StorageReply> ack = ControlRoundTrip(
-      wire::FrameType::kOpen, n, static_cast<uint32_t>(block_size),
+      wire::FrameType::kOpen, n_, static_cast<uint32_t>(block_size_),
       BlockBuffer());
-  if (!ack.ok()) {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (broken_.ok()) broken_ = ack.status();
-  }
+  if (!ack.ok() && broken_.ok()) broken_ = ack.status();
 }
 
 void SocketBackend::TearDownConnection() {
-  // The reader has either exited (it returns once the stream fails) or is
-  // blocked reading a half-dead peer; shutdown wakes it, exactly as the
-  // destructor does.
+  // Shutdown first: it ends the fallback server's reader with EOF, so the
+  // join below (and thus destruction) can never hang on a peer.
   if (fd_ >= 0) ::shutdown(fd_, SHUT_RDWR);
-  if (reader_.joinable()) reader_.join();
   if (server_.joinable()) server_.join();
   if (fd_ >= 0) ::close(fd_);
   fd_ = -1;
 }
 
-void SocketBackend::MaybeReconnect(std::unique_lock<std::mutex>& lock) {
-  if (broken_.ok() || reconnecting_) return;
+void SocketBackend::MaybeReconnect() {
+  // A peer that closed while nothing was reading is noticed only by a
+  // read: with budget to redial, look before writing into a dead socket.
+  if (broken_.ok() && reconnects_left_ > 0) DrainReplies();
   while (!broken_.ok() && reconnects_left_ > 0) {
     --reconnects_left_;
     ++reconnect_attempts_;
@@ -161,46 +149,22 @@ void SocketBackend::MaybeReconnect(std::unique_lock<std::mutex>& lock) {
     // Full jitter in [backoff, 2*backoff): deterministic given the seed,
     // decorrelated across backends seeded differently.
     if (backoff > 0) backoff += backoff_rng_.Uniform(backoff);
-    reconnecting_ = true;
-    lock.unlock();
     TearDownConnection();
     if (backoff > 0) {
       std::this_thread::sleep_for(std::chrono::milliseconds(backoff));
     }
-    {
-      std::lock_guard<std::mutex> relock(mu_);
-      broken_ = OkStatus();
-      // Deadline-abandoned exchanges will never be waited again; reap
-      // them here so the map only carries parked-but-unwaited replies
-      // (which BreakConnectionLocked already failed atomically).
-      for (auto it = in_flight_.begin(); it != in_flight_.end();) {
-        it = it->second->abandoned ? in_flight_.erase(it) : std::next(it);
-      }
-    }
+    // BreakConnection already failed every exchange in flight and reaped
+    // the deadline-abandoned ones.
+    broken_ = OkStatus();
     // Redial + re-Open. On failure this latches broken_ again and the
     // loop burns the next unit of budget (or gives up).
-    StartConnection(n_, block_size_, options_);
-    lock.lock();
-    reconnecting_ = false;
+    StartConnection();
   }
 }
 
-SocketBackend::~SocketBackend() {
-  // Full shutdown BEFORE joining: a peer that stalled (stopped writing,
-  // network partition) leaves the reader blocked in read; shutdown wakes
-  // it (EOF), so destruction can never hang on a bad peer. Nothing is
-  // lost in the clean case: every ticket has been waited by contract,
-  // which implies every reply was consumed.
-  if (fd_ >= 0) ::shutdown(fd_, SHUT_RDWR);
-  if (reader_.joinable()) reader_.join();
-  if (server_.joinable()) server_.join();
-  if (fd_ >= 0) ::close(fd_);
-}
+SocketBackend::~SocketBackend() { TearDownConnection(); }
 
-Status SocketBackend::ConnectionStatus() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return broken_;
-}
+Status SocketBackend::ConnectionStatus() const { return broken_; }
 
 Status SocketBackend::SetArray(std::vector<Block> blocks) {
   // Validate locally so geometry errors match StorageServer::SetArray
@@ -224,12 +188,11 @@ Status SocketBackend::SetArray(std::vector<Block> blocks) {
 }
 
 Ticket SocketBackend::Submit(StorageRequest request) {
-  std::unique_lock<std::mutex> lock(mu_);
-  MaybeReconnect(lock);
-  if (!broken_.ok()) return ParkImmediateLocked(broken_);
+  MaybeReconnect();
+  if (!broken_.ok()) return ParkImmediate(broken_);
   // Free-by-contract exchanges never reach the wire (no frame, no fault
   // roll, no transcript event) — the base-class contract.
-  if (request.IsNoOp()) return ParkImmediateLocked(StorageReply{});
+  if (request.IsNoOp()) return ParkImmediate(StorageReply{});
   // Decided locally, exactly as the in-process backends decide them in
   // Execute: validation first, then one fault roll per exchange. Nothing
   // crosses the wire and nothing is recorded for either.
@@ -251,7 +214,7 @@ Ticket SocketBackend::Submit(StorageRequest request) {
     }
   }
   if (early.ok()) early = faults_.MaybeInject();
-  if (!early.ok()) return ParkImmediateLocked(std::move(early));
+  if (!early.ok()) return ParkImmediate(std::move(early));
 
   const Ticket ticket = next_ticket_++;
   wire::EncodedFrame frame = wire::EncodeRequest(request, ticket);
@@ -269,56 +232,37 @@ Ticket SocketBackend::Submit(StorageRequest request) {
     flight->expected_blocks = 0;  // uploads answer with an empty ack
   }
   flight->record = true;
-  flight->deadline_ms = request.deadline_ms;
   flight->submitted = std::chrono::steady_clock::now();
-  const auto deadline =
-      request.deadline_ms > 0
-          ? flight->submitted + std::chrono::milliseconds(request.deadline_ms)
-          : std::chrono::steady_clock::time_point::max();
+  if (request.deadline_ms > 0) {
+    flight->deadline =
+        flight->submitted + std::chrono::milliseconds(request.deadline_ms);
+  }
+  const auto deadline = flight->deadline;
   in_flight_.emplace(ticket, std::move(flight));
-  lock.unlock();
   // frame.body aliases request.payload, which outlives the write.
   SendFrame(frame, deadline);
   return ticket;
 }
 
 StatusOr<StorageReply> SocketBackend::Wait(Ticket ticket) {
-  std::unique_ptr<InFlight> flight;
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    auto it = in_flight_.find(ticket);
-    if (it == in_flight_.end() || it->second->abandoned) {
-      return InvalidArgumentError(
-          "Wait: unknown or already-consumed ticket " + std::to_string(ticket));
-    }
-    InFlight* slot = it->second.get();
-    if (slot->deadline_ms > 0) {
-      const auto deadline =
-          slot->submitted + std::chrono::milliseconds(slot->deadline_ms);
-      if (!reply_cv_.wait_until(lock, deadline,
-                                [slot] { return slot->done; })) {
-        // The exchange stays in the map, flagged: the reader discards the
-        // late reply without desynchronizing the stream, and the server
-        // may or may not have applied it — the same ambiguity as a broken
-        // connection, so callers treat DeadlineExceeded exactly like
-        // Unavailable for retry purposes.
-        slot->abandoned = true;
-        slot->record = false;
-        return DeadlineExceededError(
-            "Wait: exchange exceeded its " +
-            std::to_string(slot->deadline_ms) + " ms deadline");
-      }
-    } else {
-      reply_cv_.wait(lock, [slot] { return slot->done; });
-    }
-    // Re-find: the map may have rehashed while we waited (slot pointers
-    // are stable, iterators are not).
-    flight = std::move(in_flight_.at(ticket));
-    in_flight_.erase(ticket);
-    if (flight->record && flight->reply.ok()) {
-      measured_wall_ms_ += MsBetween(flight->submitted, flight->parked);
-    }
+  auto it = in_flight_.find(ticket);
+  if (it == in_flight_.end() || it->second->abandoned) {
+    return InvalidArgumentError(
+        "Wait: unknown or already-consumed ticket " + std::to_string(ticket));
   }
+  InFlight* slot = it->second.get();
+  if (!Await(*slot, slot->deadline)) {
+    // The exchange stays in the map, flagged: a later read discards the
+    // late reply without desynchronizing the stream, and the server may
+    // or may not have applied it — the same ambiguity as a broken
+    // connection, so callers treat DeadlineExceeded exactly like
+    // Unavailable for retry purposes.
+    slot->abandoned = true;
+    return DeadlineExceededError("Wait: exchange exceeded its deadline");
+  }
+  // `it` is still valid: parking only erases abandoned flights.
+  std::unique_ptr<InFlight> flight = std::move(it->second);
+  in_flight_.erase(it);
   // Transcript recording happens at Wait, atomically per exchange (the
   // AsyncShardedBackend discipline): awaited in submission order — which
   // every scheme's narrow calls guarantee — the adversary's view is
@@ -358,17 +302,12 @@ void SocketBackend::CorruptBlock(BlockId index) {
 }
 
 void SocketBackend::SetFailureRate(double rate, uint64_t seed) {
-  std::lock_guard<std::mutex> lock(mu_);
   faults_.Set(rate, seed);
 }
 
-double SocketBackend::MeasuredWallMs() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return measured_wall_ms_;
-}
+double SocketBackend::MeasuredWallMs() const { return measured_wall_ms_; }
 
 uint64_t SocketBackend::RetriedAttempts() const {
-  std::lock_guard<std::mutex> lock(mu_);
   return reconnect_attempts_;
 }
 
@@ -376,7 +315,7 @@ StatusOr<StorageReply> SocketBackend::Execute(StorageRequest request) {
   return Wait(Submit(std::move(request)));
 }
 
-Ticket SocketBackend::ParkImmediateLocked(StatusOr<StorageReply> reply) {
+Ticket SocketBackend::ParkImmediate(StatusOr<StorageReply> reply) {
   const Ticket ticket = next_ticket_++;
   auto flight = std::make_unique<InFlight>();
   flight->done = true;
@@ -388,8 +327,8 @@ Ticket SocketBackend::ParkImmediateLocked(StatusOr<StorageReply> reply) {
 StatusOr<StorageReply> SocketBackend::ControlRoundTrip(
     wire::FrameType type, uint64_t aux, uint32_t block_size,
     const BlockBuffer& body) {
-  std::unique_lock<std::mutex> lock(mu_);
-  if (type != wire::FrameType::kOpen) MaybeReconnect(lock);
+  // The re-Open handshake runs inside MaybeReconnect itself.
+  if (type != wire::FrameType::kOpen) MaybeReconnect();
   if (!broken_.ok()) return broken_;
   const Ticket ticket = next_ticket_++;
   auto flight = std::make_unique<InFlight>();
@@ -402,15 +341,13 @@ StatusOr<StorageReply> SocketBackend::ControlRoundTrip(
   } else if (type == wire::FrameType::kOpen) {
     // The handshake carries the namespace binding from the options:
     // private by default, or attach-or-create of a shared namespace.
-    frame =
-        wire::EncodeOpen(ticket, aux, block_size, namespace_id_, open_mode_);
+    frame = wire::EncodeOpen(ticket, aux, block_size, options_.namespace_id,
+                             options_.attach_or_create ? 1 : 0);
   } else {
     frame = wire::EncodeControl(type, ticket, aux, block_size);
   }
-  lock.unlock();
   SendFrame(frame, std::chrono::steady_clock::time_point::max());
-  lock.lock();
-  reply_cv_.wait(lock, [slot] { return slot->done; });
+  Await(*slot, std::chrono::steady_clock::time_point::max());
   StatusOr<StorageReply> reply = std::move(slot->reply);
   in_flight_.erase(ticket);
   return reply;
@@ -418,75 +355,82 @@ StatusOr<StorageReply> SocketBackend::ControlRoundTrip(
 
 void SocketBackend::SendFrame(const wire::EncodedFrame& frame,
                               std::chrono::steady_clock::time_point deadline) {
-  Status written = wire::WriteFrame(fd_, frame, deadline);
-  if (written.ok()) return;
+  // While the socket is full, park whatever replies are readable: the
+  // server may be blocked writing them, and so not reading this frame.
+  Status written =
+      wire::WriteFrame(fd_, frame, deadline, [this] { return DrainReplies(); });
   // A frame that did not go out whole (deadline mid-frame, peer gone)
-  // leaves the stream unresyncable: break the connection, failing every
-  // exchange in flight; the reconnect budget applies at the next call.
-  std::lock_guard<std::mutex> lock(mu_);
-  BreakConnectionLocked(std::move(written));
+  // leaves the stream unresyncable; the reconnect budget applies later.
+  if (!written.ok()) BreakConnection(std::move(written));
 }
 
-void SocketBackend::ReaderLoop() {
-  std::vector<uint8_t> scratch;
-  for (;;) {
-    StatusOr<wire::DecodedFrame> frame = wire::ReadFrame(fd_, &scratch);
-    const auto parked = std::chrono::steady_clock::now();
-    std::unique_lock<std::mutex> lock(mu_);
-    if (!frame.ok()) {
-      // Clean EOF during shutdown is the expected end of the stream;
-      // anything else (mid-frame EOF, corrupt frame, I/O error) breaks
-      // every exchange still in flight rather than crashing or hanging.
-      BreakConnectionLocked(frame.status());
-      return;
-    }
-    auto it = in_flight_.find(frame->header.ticket);
-    if (it != in_flight_.end() && it->second->abandoned) {
-      // Late reply for a deadline-abandoned exchange: the stream is still
-      // in sync — consume the frame silently and reap the flight.
-      in_flight_.erase(it);
-      continue;
-    }
-    if (it == in_flight_.end() || it->second->done) {
-      BreakConnectionLocked(
-          DataLossError("wire: reply for unknown or completed ticket " +
+Status SocketBackend::DrainReplies() {
+  while (broken_.ok() && frames_.Poll()) Park(frames_.Read());
+  return broken_;
+}
+
+bool SocketBackend::Await(const InFlight& slot,
+                          std::chrono::steady_clock::time_point deadline) {
+  while (!slot.done) {
+    StatusOr<wire::DecodedFrame> frame = frames_.Read(deadline);
+    if (frame.status().code() == StatusCode::kDeadlineExceeded) return false;
+    Park(std::move(frame));
+  }
+  return true;
+}
+
+void SocketBackend::Park(StatusOr<wire::DecodedFrame> frame) {
+  if (!frame.ok()) {
+    // EOF, a corrupt frame or an I/O error breaks every exchange still in
+    // flight rather than crashing or hanging.
+    BreakConnection(frame.status());
+    return;
+  }
+  auto it = in_flight_.find(frame->header.ticket);
+  if (it != in_flight_.end() && it->second->abandoned) {
+    // Late reply for a deadline-abandoned exchange: the stream is still
+    // in sync — consume the frame silently and reap the flight.
+    in_flight_.erase(it);
+    return;
+  }
+  if (it == in_flight_.end() || it->second->done) {
+    BreakConnection(
+        DataLossError("wire: reply for unknown or completed ticket " +
+                      std::to_string(frame->header.ticket)));
+    return;
+  }
+  InFlight* slot = it->second.get();
+  if (frame->header.type == wire::FrameType::kReplyBlocks) {
+    // A WELL-FORMED reply whose geometry disagrees with the request is as
+    // hostile as a corrupt frame: without this check, a lying server
+    // could park a 0-block reply for a 1-block download and crash the
+    // client at reply.blocks[0] instead of failing the exchange.
+    if (frame->payload.size() != slot->expected_blocks ||
+        (!frame->payload.empty() &&
+         frame->payload.block_size() != block_size_)) {
+      BreakConnection(
+          DataLossError("wire: reply geometry mismatch for ticket " +
                         std::to_string(frame->header.ticket)));
       return;
     }
-    InFlight* slot = it->second.get();
-    if (frame->header.type == wire::FrameType::kReplyBlocks) {
-      // A WELL-FORMED reply whose geometry disagrees with the request is
-      // as hostile as a corrupt frame: without this check, a lying server
-      // could park a 0-block reply for a 1-block download and crash the
-      // client at reply.blocks[0] instead of failing the exchange.
-      if (frame->payload.size() != slot->expected_blocks ||
-          (!frame->payload.empty() &&
-           frame->payload.block_size() != block_size_)) {
-        BreakConnectionLocked(DataLossError(
-            "wire: reply geometry mismatch for ticket " +
-            std::to_string(frame->header.ticket)));
-        return;
-      }
-      StorageReply reply;
-      reply.blocks = std::move(frame->payload);
-      slot->reply = std::move(reply);
-    } else if (frame->header.type == wire::FrameType::kReplyError) {
-      slot->reply = Status(static_cast<StatusCode>(frame->header.code),
-                           std::move(frame->message));
-    } else {
-      BreakConnectionLocked(
-          DataLossError("wire: unexpected frame type in reply stream"));
-      return;
-    }
-    slot->parked = parked;
-    slot->done = true;
-    // Notify after unlocking, so the woken Wait does not block on mu_.
-    lock.unlock();
-    reply_cv_.notify_all();
+    slot->reply = StorageReply{std::move(frame->payload)};
+  } else if (frame->header.type == wire::FrameType::kReplyError) {
+    slot->reply = Status(static_cast<StatusCode>(frame->header.code),
+                         std::move(frame->message));
+  } else {
+    BreakConnection(
+        DataLossError("wire: unexpected frame type in reply stream"));
+    return;
+  }
+  slot->done = true;
+  if (slot->record && slot->reply.ok()) {
+    measured_wall_ms_ += std::chrono::duration<double, std::milli>(
+                             std::chrono::steady_clock::now() - slot->submitted)
+                             .count();
   }
 }
 
-void SocketBackend::BreakConnectionLocked(Status why) {
+void SocketBackend::BreakConnection(Status why) {
   if (broken_.ok()) {
     broken_ = UnavailableError("socket backend: connection broken: " +
                                why.ToString());
@@ -501,12 +445,10 @@ void SocketBackend::BreakConnectionLocked(Status why) {
     }
     if (!flight->done) {
       flight->done = true;
-      flight->record = false;  // nothing completed: record nothing
-      flight->reply = broken_;
+      flight->reply = broken_;  // not OK: Wait records nothing
     }
     ++it;
   }
-  reply_cv_.notify_all();
 }
 
 BackendFactory SocketBackendFactory(SocketBackendOptions options,

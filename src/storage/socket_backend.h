@@ -10,10 +10,8 @@
 /// CostModel merely models.
 
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -68,23 +66,29 @@ struct SocketBackendOptions {
 
 /// StorageBackend whose server is on the far side of a socket.
 ///
-/// Submit serializes the exchange and writes the frame on the caller's
-/// thread, so frames leave in ticket order and `RunExchangePipeline` depth
-/// overlaps exchanges on the wire; a reader thread parks ticket-correlated
-/// replies as they arrive. Because the reader always drains replies, an
-/// inline write can only block on a peer that stopped reading, never on
-/// this client's own unread replies. A request with `deadline_ms` never
-/// blocks past it in Submit either: the write polls for room until the
-/// deadline, and a frame that could not go out whole breaks the connection
-/// (the stream cannot be resynced; the reconnect budget applies). Control
-/// frames (Open/SetArray/Peek/Corrupt) are written without a deadline.
+/// No thread of its own: every call does its socket I/O on the caller's
+/// thread. Submit serializes the exchange and writes the frame, so frames
+/// leave in ticket order and `RunExchangePipeline` depth overlaps
+/// exchanges on the wire. Wait reads the socket itself (leader/followers,
+/// with the client thread as the only leader): it returns at once when
+/// its reply is already parked, and otherwise reads frames, parking each
+/// by ticket, until its own arrives. A Submit whose write finds the
+/// socket full drains and parks the replies that arrive meanwhile, so it
+/// can only block on a peer that stopped reading, never on a server
+/// blocked writing replies this client has not read yet. A request with
+/// `deadline_ms` never blocks past it in Submit either: the write polls
+/// for room until the deadline, and a frame that could not go out whole
+/// breaks the connection (the stream cannot be resynced; the reconnect
+/// budget applies). Control frames (Open/SetArray/Peek/Corrupt) have no
+/// deadline. With reconnect budget left, each call first parks what is
+/// readable, so a peer that closed meanwhile is redialed, not written to.
 ///
-/// Wait blocks until its reply is parked, records the transcript exactly
-/// as the in-memory backend would (events at Wait, in submission order —
-/// the AsyncShardedBackend discipline, so the adversary's view is
-/// bit-identical to `memory` when exchanges are awaited in submission
-/// order, which every scheme's narrow calls do), and accumulates MEASURED
-/// wall-clock per exchange alongside the modeled CostModel axes
+/// Wait records the transcript exactly as the in-memory backend would
+/// (events at Wait, in submission order — the AsyncShardedBackend
+/// discipline, so the adversary's view is bit-identical to `memory` when
+/// exchanges are awaited in submission order, which every scheme's narrow
+/// calls do), and accumulates MEASURED wall-clock per exchange, from
+/// Submit until its reply was read, alongside the modeled CostModel axes
 /// (TransportStats::measured_wall_ms).
 ///
 /// Error semantics match the in-process backends: validation errors and
@@ -95,9 +99,8 @@ struct SocketBackendOptions {
 /// injection stays client-side (one Bernoulli roll per exchange at
 /// Submit) so the failure model is identical across backends.
 ///
-/// Thread safety: Submit/Wait and the control surface may be called from
-/// one client thread, as for every other backend — which is also what
-/// keeps inline writes in ticket order; the reader thread is internal.
+/// Thread safety: like every StorageBackend, one client thread at a time
+/// — which is also what keeps writes in ticket order.
 class SocketBackend : public StorageBackend {
  public:
   /// Connects per `options` and performs the Open handshake for an
@@ -138,7 +141,7 @@ class SocketBackend : public StorageBackend {
   /// sent — identical failure model to the in-process backends.
   void SetFailureRate(double rate, uint64_t seed = 7) override;
 
-  /// Sum over completed exchanges of (reply parked - submitted), i.e. the
+  /// Sum over completed exchanges of (reply read - submitted), i.e. the
   /// real socket latency the CostModel previously only modeled.
   double MeasuredWallMs() const override;
 
@@ -161,75 +164,74 @@ class SocketBackend : public StorageBackend {
     /// disagreeing is a protocol violation and breaks the connection —
     /// a hostile server must fail exchanges, never crash the client.
     uint64_t expected_blocks = 0;
-    /// Record transcript events and measured time at Wait (true only for
-    /// exchanges that actually crossed the wire).
+    /// Record transcript events at Wait and measured time when the reply
+    /// is read (true only for exchanges that actually crossed the wire).
     bool record = false;
     /// DPF evals: serialized key bytes shipped, for RecordEval at Wait.
     uint64_t eval_query_bytes = 0;
-    /// Client-side completion budget from the request (0 = none): Wait
-    /// gives up after this many ms past `submitted`.
-    uint64_t deadline_ms = 0;
+    /// `submitted` + the request's `deadline_ms` (none when 0): Submit's
+    /// write and Wait give up at this point.
+    std::chrono::steady_clock::time_point deadline =
+        std::chrono::steady_clock::time_point::max();
     /// Wait timed out on this exchange and already returned
-    /// DeadlineExceeded; the reader discards the late reply (or a
+    /// DeadlineExceeded; a later read discards the late reply (or a
     /// connection break reaps it) without touching the stream state.
     bool abandoned = false;
     bool done = false;
     StatusOr<StorageReply> reply{StorageReply{}};
     std::chrono::steady_clock::time_point submitted;
-    std::chrono::steady_clock::time_point parked;
   };
 
-  void StartConnection(uint64_t n, size_t block_size,
-                       const SocketBackendOptions& options);
+  /// Dials and runs the Open handshake; failures latch in broken_.
+  void StartConnection();
   /// If the connection is broken and reconnect budget remains, tears it
   /// down, backs off (exponential + jitter) and redials + re-Opens,
-  /// repeating until connected or the budget is spent. Drops the lock
-  /// while dialing; no-op while a reconnect is already running (the
-  /// re-Open handshake itself calls back into ControlRoundTrip).
-  void MaybeReconnect(std::unique_lock<std::mutex>& lock);
-  /// Joins the dead reader (and fallback server) threads and closes the
-  /// socket. Called with mu_ NOT held.
+  /// repeating until connected or the budget is spent.
+  void MaybeReconnect();
+  /// Shuts down and closes the socket, joining the fallback server.
   void TearDownConnection();
-  void ReaderLoop();
-  /// Writes one frame on the caller's thread, never past `deadline`;
-  /// breaks the connection if the frame did not go out whole. Called with
-  /// mu_ NOT held (the reader must stay free to park replies meanwhile).
+  /// Writes one frame by `deadline`, parking replies that arrive while the
+  /// socket is full; a frame not written whole breaks the connection.
   void SendFrame(const wire::EncodedFrame& frame,
                  std::chrono::steady_clock::time_point deadline);
-  /// Fails every in-flight exchange and latches `why`. Requires mu_.
-  void BreakConnectionLocked(Status why);
+  /// Parks the replies readable without blocking; returns broken_.
+  Status DrainReplies();
+  /// Reads and parks frames until `slot` is done; false when `deadline`
+  /// passed first.
+  bool Await(const InFlight& slot,
+             std::chrono::steady_clock::time_point deadline);
+  /// Completes the exchange `frame` answers (discarding late replies of
+  /// abandoned ones); a read error or protocol violation breaks the link.
+  void Park(StatusOr<wire::DecodedFrame> frame);
+  /// Fails every in-flight exchange and latches `why`.
+  void BreakConnection(Status why);
   /// Parks an already-decided reply under a fresh ticket (validation
   /// error, injected fault, no-op): never recorded, never measured.
-  Ticket ParkImmediateLocked(StatusOr<StorageReply> reply);
-  /// Sends one control frame and blocks for its reply (cold paths:
-  /// Open/SetArray/Peek/Corrupt). `body` is the payload a kSetArray frame
-  /// ships; empty otherwise.
+  Ticket ParkImmediate(StatusOr<StorageReply> reply);
+  /// Sends one control frame and reads until its reply arrives (cold
+  /// paths: Open/SetArray/Peek/Corrupt). `body` is the payload a kSetArray
+  /// frame ships; empty otherwise.
   StatusOr<StorageReply> ControlRoundTrip(wire::FrameType type, uint64_t aux,
                                           uint32_t block_size,
                                           const BlockBuffer& body);
 
   uint64_t n_ = 0;
   size_t block_size_ = 0;
-  /// Namespace binding the Open frame carries (from the options).
-  uint64_t namespace_id_ = 0;
-  uint8_t open_mode_ = 0;
   /// Connection options, kept for redialing.
   SocketBackendOptions options_;
   int fd_ = -1;
-  std::thread reader_;
+  /// Buffers the reply stream of `fd_`; replaced at every (re)connect.
+  wire::FrameReader frames_;
   /// In-process fallback server (socketpair mode only).
   std::thread server_;
 
-  mutable std::mutex mu_;
-  mutable std::condition_variable reply_cv_;
   std::unordered_map<Ticket, std::unique_ptr<InFlight>> in_flight_;
   Ticket next_ticket_ = 1;
   Status broken_ = OkStatus();
   double measured_wall_ms_ = 0.0;
-  /// Remaining reconnect budget / total attempts made (under mu_).
+  /// Remaining reconnect budget / total attempts made.
   int reconnects_left_ = 0;
   uint64_t reconnect_attempts_ = 0;
-  bool reconnecting_ = false;
   Rng backoff_rng_;
 
   Transcript transcript_;

@@ -4,11 +4,10 @@
 #include <poll.h>
 #include <sys/socket.h>
 #include <sys/uio.h>
-#include <unistd.h>
 
 #include <algorithm>
 #include <cstring>
-#include <utility>
+#include <string_view>
 
 #include "util/io.h"
 
@@ -19,45 +18,44 @@ namespace {
 
 // Explicit little-endian scalar serialization: the format is defined by
 // these loops, not by host memory layout.
-void PutU32(std::vector<uint8_t>* out, uint32_t value) {
-  for (int i = 0; i < 4; ++i) out->push_back(uint8_t(value >> (8 * i)));
+template <typename T>
+void Put(std::vector<uint8_t>* out, T value) {
+  for (size_t i = 0; i < sizeof(T); ++i) {
+    out->push_back(uint8_t(value >> (8 * i)));
+  }
 }
 
-void PutU64(std::vector<uint8_t>* out, uint64_t value) {
-  for (int i = 0; i < 8; ++i) out->push_back(uint8_t(value >> (8 * i)));
-}
-
-uint32_t GetU32(const uint8_t* p) {
-  uint32_t value = 0;
-  for (int i = 0; i < 4; ++i) value |= uint32_t(p[i]) << (8 * i);
+template <typename T>
+T Get(const uint8_t* p) {
+  T value = 0;
+  for (size_t i = 0; i < sizeof(T); ++i) value |= T(p[i]) << (8 * i);
   return value;
 }
 
-uint64_t GetU64(const uint8_t* p) {
-  uint64_t value = 0;
-  for (int i = 0; i < 8; ++i) value |= uint64_t(p[i]) << (8 * i);
-  return value;
-}
-
-/// Builds `head` = length prefix + header + indices for a frame whose body
-/// (the second writev leg) will carry `body_bytes` payload bytes.
-std::vector<uint8_t> EncodeHead(const FrameHeader& header,
-                                const std::vector<BlockId>& indices,
-                                size_t body_bytes) {
-  std::vector<uint8_t> head;
-  head.reserve(4 + kHeaderBytes + indices.size() * 8);
-  const uint64_t length = kHeaderBytes + indices.size() * 8 + body_bytes;
-  PutU32(&head, static_cast<uint32_t>(length));
+/// Assembles a frame: `head` = length prefix + header + indices + `text`
+/// (an error message: small, and owned nowhere stable the frame could
+/// alias), `body` = the payload leg (aliased, not copied).
+EncodedFrame MakeFrame(const FrameHeader& header, BlockView body = {},
+                       const std::vector<BlockId>& indices = {},
+                       std::string_view text = {}) {
+  EncodedFrame frame;
+  frame.body = body;
+  std::vector<uint8_t>& head = frame.head;
+  head.reserve(4 + kHeaderBytes + indices.size() * 8 + text.size());
+  const uint64_t length =
+      kHeaderBytes + indices.size() * 8 + text.size() + body.size();
+  Put<uint32_t>(&head, static_cast<uint32_t>(length));
   head.push_back(header.version);
   head.push_back(static_cast<uint8_t>(header.type));
   head.push_back(header.code);
   head.push_back(0);  // reserved
-  PutU64(&head, header.ticket);
-  PutU64(&head, header.count);
-  PutU32(&head, header.block_size);
-  PutU64(&head, header.aux);
-  for (BlockId index : indices) PutU64(&head, index);
-  return head;
+  Put<uint64_t>(&head, header.ticket);
+  Put<uint64_t>(&head, header.count);
+  Put<uint32_t>(&head, header.block_size);
+  Put<uint64_t>(&head, header.aux);
+  for (BlockId index : indices) Put<uint64_t>(&head, index);
+  head.insert(head.end(), text.begin(), text.end());
+  return frame;
 }
 
 Status TruncatedError(const char* what) {
@@ -67,23 +65,19 @@ Status TruncatedError(const char* what) {
 }  // namespace
 
 EncodedFrame EncodeRequest(const StorageRequest& request, uint64_t ticket) {
-  FrameHeader header;
-  header.type = FrameType::kRequest;
-  header.code = static_cast<uint8_t>(request.op);
-  header.ticket = ticket;
-  header.block_size = static_cast<uint32_t>(request.payload.block_size());
+  FrameHeader header{.type = FrameType::kRequest,
+                     .code = static_cast<uint8_t>(request.op),
+                     .ticket = ticket,
+                     .count = request.indices.size(),
+                     .block_size = static_cast<uint32_t>(
+                         request.payload.block_size())};
   if (request.op == StorageRequest::Op::kDpfEval) {
     // A dpf-eval frame carries no indices: count sizes the key payload
     // (one "block" of key bytes) and aux is the domain offset.
     header.count = request.payload.size();
     header.aux = request.dpf_offset;
-  } else {
-    header.count = request.indices.size();
   }
-  EncodedFrame frame;
-  frame.body = request.payload.AllBytes();
-  frame.head = EncodeHead(header, request.indices, frame.body.size());
-  return frame;
+  return MakeFrame(header, request.payload.AllBytes(), request.indices);
 }
 
 EncodedFrame EncodeReplyBlocks(const BlockBuffer& blocks, uint64_t ticket,
@@ -96,71 +90,46 @@ EncodedFrame EncodeReplyBlocks(const BlockBuffer& blocks, uint64_t ticket,
 EncodedFrame EncodeReplyBlocksView(BlockView body, uint64_t count,
                                    uint32_t block_size, uint64_t ticket,
                                    uint8_t version) {
-  FrameHeader header;
-  header.version = version;
-  header.type = FrameType::kReplyBlocks;
-  header.ticket = ticket;
-  header.count = count;
-  header.block_size = block_size;
-  EncodedFrame frame;
-  frame.body = body;
-  frame.head = EncodeHead(header, {}, frame.body.size());
-  return frame;
+  return MakeFrame({.version = version,
+                    .type = FrameType::kReplyBlocks,
+                    .ticket = ticket,
+                    .count = count,
+                    .block_size = block_size},
+                   body);
 }
 
 EncodedFrame EncodeReplyError(const Status& status, uint64_t ticket,
                               uint8_t version) {
-  FrameHeader header;
-  header.version = version;
-  header.type = FrameType::kReplyError;
-  header.code = static_cast<uint8_t>(status.code());
-  header.ticket = ticket;
-  header.count = status.message().size();
-  EncodedFrame frame;
-  frame.head = EncodeHead(header, {}, status.message().size());
-  // The message rides in `head` (it is small and owned nowhere stable the
-  // frame could alias).
-  const auto* text = reinterpret_cast<const uint8_t*>(status.message().data());
-  frame.head.insert(frame.head.end(), text, text + status.message().size());
-  return frame;
+  return MakeFrame({.version = version,
+                    .type = FrameType::kReplyError,
+                    .code = static_cast<uint8_t>(status.code()),
+                    .ticket = ticket,
+                    .count = status.message().size()},
+                   {}, {}, status.message());
 }
 
 EncodedFrame EncodeControl(FrameType type, uint64_t ticket, uint64_t aux,
                            uint32_t block_size) {
-  FrameHeader header;
-  header.type = type;
-  header.ticket = ticket;
-  header.aux = aux;
-  header.block_size = block_size;
-  EncodedFrame frame;
-  frame.head = EncodeHead(header, {}, 0);
-  return frame;
+  return MakeFrame(
+      {.type = type, .ticket = ticket, .block_size = block_size, .aux = aux});
 }
 
 EncodedFrame EncodeOpen(uint64_t ticket, uint64_t n, uint32_t block_size,
                         uint64_t namespace_id, uint8_t mode) {
-  FrameHeader header;
-  header.type = FrameType::kOpen;
-  header.code = mode;
-  header.ticket = ticket;
-  header.count = namespace_id;
-  header.block_size = block_size;
-  header.aux = n;
-  EncodedFrame frame;
-  frame.head = EncodeHead(header, {}, 0);
-  return frame;
+  return MakeFrame({.type = FrameType::kOpen,
+                    .code = mode,
+                    .ticket = ticket,
+                    .count = namespace_id,
+                    .block_size = block_size,
+                    .aux = n});
 }
 
 EncodedFrame EncodeSetArray(const BlockBuffer& array, uint64_t ticket) {
-  FrameHeader header;
-  header.type = FrameType::kSetArray;
-  header.ticket = ticket;
-  header.count = array.size();
-  header.block_size = static_cast<uint32_t>(array.block_size());
-  EncodedFrame frame;
-  frame.body = array.AllBytes();
-  frame.head = EncodeHead(header, {}, frame.body.size());
-  return frame;
+  return MakeFrame({.type = FrameType::kSetArray,
+                    .ticket = ticket,
+                    .count = array.size(),
+                    .block_size = static_cast<uint32_t>(array.block_size())},
+                   array.AllBytes());
 }
 
 StatusOr<DecodedFrame> DecodeFrame(BlockView bytes) {
@@ -182,10 +151,10 @@ StatusOr<DecodedFrame> DecodeFrame(BlockView bytes) {
   header.type = static_cast<FrameType>(raw_type);
   header.code = p[2];
   // p[3] reserved, ignored.
-  header.ticket = GetU64(p + 4);
-  header.count = GetU64(p + 12);
-  header.block_size = GetU32(p + 20);
-  header.aux = GetU64(p + 24);
+  header.ticket = Get<uint64_t>(p + 4);
+  header.count = Get<uint64_t>(p + 12);
+  header.block_size = Get<uint32_t>(p + 20);
+  header.aux = Get<uint64_t>(p + 24);
   const size_t rest = bytes.size() - kHeaderBytes;
   const uint8_t* tail = p + kHeaderBytes;
 
@@ -225,7 +194,7 @@ StatusOr<DecodedFrame> DecodeFrame(BlockView bytes) {
       }
       frame.indices.resize(header.count);
       for (uint64_t i = 0; i < header.count; ++i) {
-        frame.indices[i] = GetU64(tail + i * 8);
+        frame.indices[i] = Get<uint64_t>(tail + i * 8);
       }
       if (upload && header.count > 0) {
         frame.payload =
@@ -289,8 +258,30 @@ StatusOr<DecodedFrame> DecodeFrame(BlockView bytes) {
   return InternalError("wire: unreachable frame type");
 }
 
+namespace {
+
+/// poll()s `fd` for `events` until `deadline` (time_point::max(): no
+/// limit): the signalled events, 0 on timeout, -1 if already past it.
+int PollUntil(int fd, short events,
+              std::chrono::steady_clock::time_point deadline) {
+  int timeout_ms = -1;
+  if (deadline != std::chrono::steady_clock::time_point::max()) {
+    // Rounded up, so a sub-millisecond remainder still sleeps.
+    const int64_t left = std::chrono::ceil<std::chrono::milliseconds>(
+                             deadline - std::chrono::steady_clock::now())
+                             .count();
+    if (left <= 0) return -1;
+    timeout_ms = static_cast<int>(std::min<int64_t>(left, 1 << 30));
+  }
+  struct pollfd ready{fd, events, 0};
+  return ::poll(&ready, 1, timeout_ms) > 0 ? ready.revents : 0;
+}
+
+}  // namespace
+
 Status WriteFrame(int fd, const EncodedFrame& frame,
-                  std::chrono::steady_clock::time_point deadline) {
+                  std::chrono::steady_clock::time_point deadline,
+                  const std::function<Status()>& drain) {
   // The writer side of the length-prefix contract: a frame beyond the cap
   // would be rejected by any conforming reader — and beyond u32, its
   // truncated prefix would desynchronize the stream. Refuse to put it on
@@ -308,10 +299,10 @@ Status WriteFrame(int fd, const EncodedFrame& frame,
   iov[1].iov_len = frame.body.size();
   int iovcnt = frame.body.empty() ? 1 : 2;
   struct iovec* cursor = iov;
-  // MSG_DONTWAIT per send rather than O_NONBLOCK on the socket: a reader
-  // thread may be blocked reading the same descriptor.
-  const bool bounded = deadline != std::chrono::steady_clock::time_point::max();
-  const int flags = MSG_NOSIGNAL | (bounded ? MSG_DONTWAIT : 0);
+  // MSG_DONTWAIT per send rather than O_NONBLOCK on the socket: reads of
+  // the same descriptor keep their own blocking mode.
+  const int flags = MSG_NOSIGNAL | MSG_DONTWAIT;
+  const short events = POLLOUT | (drain ? POLLIN : 0);
   while (iovcnt > 0) {
     // sendmsg(MSG_NOSIGNAL), not writev: a peer that vanished mid-write
     // must surface as EPIPE, not kill the process with SIGPIPE.
@@ -319,19 +310,15 @@ Status WriteFrame(int fd, const EncodedFrame& frame,
     msg.msg_iov = cursor;
     msg.msg_iovlen = iovcnt;
     const ssize_t wrote = io::SendmsgEintr(fd, &msg, flags);
-    if (wrote < 0 && bounded && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-      const auto left = deadline - std::chrono::steady_clock::now();
-      if (left <= std::chrono::steady_clock::duration::zero()) {
+    if (wrote < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
+      const int revents = PollUntil(fd, events, deadline);
+      if (revents < 0) {
         return DeadlineExceededError(
             "wire: frame not written before its deadline");
       }
-      // Round up so a sub-millisecond remainder still sleeps.
-      const auto left_ms =
-          std::chrono::duration_cast<std::chrono::milliseconds>(left).count() +
-          1;
-      struct pollfd writable{fd, POLLOUT, 0};
-      ::poll(&writable, 1,
-             static_cast<int>(std::min<int64_t>(left_ms, 1 << 30)));
+      if (drain && (revents & (POLLIN | POLLHUP | POLLERR)) != 0) {
+        DPSTORE_RETURN_IF_ERROR(drain());
+      }
       continue;
     }
     if (wrote < 0) {
@@ -352,44 +339,76 @@ Status WriteFrame(int fd, const EncodedFrame& frame,
   return OkStatus();
 }
 
-namespace {
-
-/// Reads exactly `len` bytes. `clean_eof_ok`: EOF before the first byte is
-/// a clean close (NotFound), mid-read EOF is DataLoss.
-Status ReadExactly(int fd, uint8_t* out, size_t len, bool clean_eof_ok) {
-  size_t got = 0;
-  while (got < len) {
-    const ssize_t n = io::ReadEintr(fd, out + got, len - got);
-    if (n < 0) {
-      return UnavailableError(std::string("wire: read failed: ") +
-                              std::strerror(errno));
+StatusOr<DecodedFrame> FrameReader::Read(
+    std::chrono::steady_clock::time_point deadline) {
+  // A bounded read tries the socket before sleeping in poll, so a frame
+  // that already arrived costs one recv even past the deadline.
+  const bool bounded = deadline != std::chrono::steady_clock::time_point::max();
+  const int flags = bounded ? MSG_DONTWAIT : 0;
+  while (!FrameBuffered()) {
+    if (!failed_.ok()) return failed_;
+    if (!Fill(flags) && PollUntil(fd_, POLLIN, deadline) < 0) {
+      return DeadlineExceededError("wire: frame not read before its deadline");
     }
-    if (n == 0) {
-      if (got == 0 && clean_eof_ok) {
-        return NotFoundError("wire: connection closed");
-      }
-      return DataLossError("wire: connection closed mid-frame");
-    }
-    got += static_cast<size_t>(n);
   }
-  return OkStatus();
+  const size_t span = FrameSpan();
+  StatusOr<DecodedFrame> frame =
+      DecodeFrame(BlockView(buffer_.data() + begin_ + 4, span - 4));
+  begin_ += span;
+  if (begin_ == end_) begin_ = end_ = 0;
+  return frame;
 }
 
-}  // namespace
-
-StatusOr<DecodedFrame> ReadFrame(int fd, std::vector<uint8_t>* scratch) {
-  uint8_t prefix[4];
-  DPSTORE_RETURN_IF_ERROR(
-      ReadExactly(fd, prefix, sizeof(prefix), /*clean_eof_ok=*/true));
-  const uint32_t length = GetU32(prefix);
-  if (length > kMaxFrameBytes) {
-    return DataLossError("wire: frame length " + std::to_string(length) +
-                         " exceeds cap");
+bool FrameReader::Poll() {
+  while (!FrameBuffered() && failed_.ok()) {
+    if (!Fill(MSG_DONTWAIT)) return false;
   }
-  if (scratch->size() < length) scratch->resize(length);
-  DPSTORE_RETURN_IF_ERROR(
-      ReadExactly(fd, scratch->data(), length, /*clean_eof_ok=*/false));
-  return DecodeFrame(BlockView(scratch->data(), length));
+  return true;
+}
+
+size_t FrameReader::FrameSpan() const {
+  if (end_ - begin_ < 4) return 4;
+  return 4 + size_t{Get<uint32_t>(buffer_.data() + begin_)};
+}
+
+bool FrameReader::Fill(int flags) {
+  const size_t span = FrameSpan();
+  if (span - 4 > kMaxFrameBytes) {
+    failed_ = DataLossError("wire: frame length " + std::to_string(span - 4) +
+                            " exceeds cap");
+    return true;
+  }
+  if (begin_ + span > buffer_.size()) {
+    // Slide the partial frame to the front and grow to fit it (at least
+    // 64 KiB, so one recv can bring several pipelined frames).
+    if (begin_ > 0) {
+      std::memmove(buffer_.data(), buffer_.data() + begin_, end_ - begin_);
+    }
+    end_ -= begin_;
+    begin_ = 0;
+    if (span > buffer_.size()) {
+      buffer_.resize(std::max<size_t>(span, size_t{1} << 16));
+    }
+  }
+  const ssize_t got =
+      io::RecvEintr(fd_, buffer_.data() + end_, buffer_.size() - end_, flags);
+  if (got > 0) {
+    end_ += static_cast<size_t>(got);
+    return true;
+  }
+  if (got < 0 && (flags & MSG_DONTWAIT) != 0 &&
+      (errno == EAGAIN || errno == EWOULDBLOCK)) {
+    return false;
+  }
+  if (got == 0) {
+    failed_ = begin_ == end_
+                  ? NotFoundError("wire: connection closed")
+                  : DataLossError("wire: connection closed mid-frame");
+  } else {
+    failed_ = UnavailableError(std::string("wire: read failed: ") +
+                               std::strerror(errno));
+  }
+  return true;
 }
 
 }  // namespace wire

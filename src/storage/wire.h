@@ -30,6 +30,7 @@
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -124,7 +125,7 @@ struct EncodedFrame {
 };
 
 /// One decoded frame. Indices/payload/message are owned copies (the
-/// reader's scratch buffer is reused across frames).
+/// reader's receive buffer is reused across frames).
 struct DecodedFrame {
   FrameHeader header;
   std::vector<BlockId> indices;
@@ -177,21 +178,55 @@ StatusOr<DecodedFrame> DecodeFrame(BlockView bytes);
 
 // --- POSIX stream I/O --------------------------------------------------------
 
-/// Writes `frame` to `fd` (both writev legs), looping on short writes.
-/// Unavailable on EOF/EPIPE or I/O error. With a finite `deadline` the
-/// write never blocks past it (non-blocking sends plus poll(POLLOUT)):
-/// DeadlineExceeded if the frame is not fully written by then, leaving a
-/// partial frame on the stream.
+/// Writes `frame` to `fd` (both writev legs) with non-blocking sends,
+/// sleeping in poll(POLLOUT) while the socket is full. Unavailable on
+/// EOF/EPIPE or I/O error; DeadlineExceeded once a finite `deadline`
+/// passes, leaving a partial frame on the stream. With `drain`, the poll
+/// also wakes for POLLIN and calls `drain` (its error aborts the write),
+/// so a peer blocked writing replies into our full receive buffer cannot
+/// deadlock against this write.
 Status WriteFrame(int fd, const EncodedFrame& frame,
                   std::chrono::steady_clock::time_point deadline =
-                      std::chrono::steady_clock::time_point::max());
+                      std::chrono::steady_clock::time_point::max(),
+                  const std::function<Status()>& drain = nullptr);
 
-/// Reads one length-prefixed frame body from `fd` into `*scratch` (resized
-/// as needed, reused across calls) and returns the decoded frame.
-/// NotFound("connection closed") on clean EOF at a frame boundary;
-/// DataLoss on mid-frame EOF or a length prefix exceeding kMaxFrameBytes;
-/// Unavailable on I/O error.
-StatusOr<DecodedFrame> ReadFrame(int fd, std::vector<uint8_t>* scratch);
+/// Reads one stream socket's frames through a receive buffer: one recv
+/// usually brings a whole frame (or several pipelined ones), and a frame
+/// cut short by a deadline stays buffered, so the stream keeps its sync.
+class FrameReader {
+ public:
+  explicit FrameReader(int fd = -1) : fd_(fd) {}
+
+  /// Returns the next frame (buffered ones first, even after EOF).
+  /// NotFound("connection closed") on EOF at a frame boundary; DataLoss on
+  /// EOF mid-frame or a length prefix over kMaxFrameBytes (before
+  /// allocating); Unavailable on an I/O error — each latched for later
+  /// Reads. A whole frame that does not decode is consumed and returns
+  /// DecodeFrame's error. DeadlineExceeded once a finite `deadline`
+  /// passes; the partial frame stays buffered.
+  StatusOr<DecodedFrame> Read(std::chrono::steady_clock::time_point deadline =
+                                  std::chrono::steady_clock::time_point::max());
+
+  /// Receives what the socket already holds, without blocking. True when
+  /// Read() will not block: a whole frame is buffered, or the stream
+  /// ended or failed.
+  bool Poll();
+
+ private:
+  /// Bytes of the frame at `begin_` with its prefix (4 until that is in).
+  size_t FrameSpan() const;
+  bool FrameBuffered() const { return end_ - begin_ >= FrameSpan(); }
+  /// One recv. False only when a MSG_DONTWAIT recv found nothing; EOF,
+  /// errors and an oversized prefix latch `failed_`.
+  bool Fill(int flags);
+
+  int fd_ = -1;
+  /// Unconsumed bytes are buffer_[begin_, end_).
+  std::vector<uint8_t> buffer_;
+  size_t begin_ = 0;
+  size_t end_ = 0;
+  Status failed_;
+};
 
 }  // namespace wire
 }  // namespace dpstore

@@ -70,6 +70,14 @@ inline ssize_t SendmsgEintr(int fd, const struct msghdr* msg, int flags) {
   }
 }
 
+inline ssize_t RecvEintr(int fd, void* buf, size_t len, int flags) {
+  for (;;) {
+    ssize_t n = ::recv(fd, buf, len, flags);
+    if (n < 0 && errno == EINTR) continue;
+    return n;
+  }
+}
+
 inline int AcceptEintr(int fd, struct sockaddr* addr, socklen_t* addrlen) {
   for (;;) {
     int n = ::accept(fd, addr, addrlen);

@@ -169,13 +169,13 @@ using HostileReply = std::function<std::vector<uint8_t>(uint64_t ticket)>;
 /// first real exchange with whatever `make_reply` fabricates and closes.
 /// Drives the client's defenses against corrupt and lying reply streams.
 void HostileServer(int fd, HostileReply make_reply) {
-  std::vector<uint8_t> scratch;
-  auto open = wire::ReadFrame(fd, &scratch);
+  wire::FrameReader reader(fd);
+  auto open = reader.Read();
   if (open.ok()) {
     static const BlockBuffer kEmpty;
     (void)wire::WriteFrame(
         fd, wire::EncodeReplyBlocks(kEmpty, open->header.ticket));
-    auto doomed = wire::ReadFrame(fd, &scratch);
+    auto doomed = reader.Read();
     const std::vector<uint8_t> reply_bytes =
         make_reply(doomed.ok() ? doomed->header.ticket : 0);
     size_t sent = 0;
@@ -205,7 +205,9 @@ class HostileListener {
               HostileServer(fd, maker);
             })) {}
 
-  explicit HostileListener(std::function<void(int)> serve) {
+  /// Serves `connections` accepted connections, one after another.
+  explicit HostileListener(std::function<void(int)> serve,
+                           int connections = 1) {
     path_ = ::testing::TempDir() + "dpstore_hostile_" +
             std::to_string(::getpid()) + "_" + std::to_string(counter_++) +
             ".sock";
@@ -219,12 +221,17 @@ class HostileListener {
                      sizeof(addr)),
               0);
     EXPECT_EQ(::listen(listen_fd_, 1), 0);
-    acceptor_ = std::thread([this, serve = std::move(serve)] {
-      const int conn = ::accept(listen_fd_, nullptr, nullptr);
-      if (conn >= 0) serve(conn);
+    acceptor_ = std::thread([this, connections, serve = std::move(serve)] {
+      for (int i = 0; i < connections; ++i) {
+        const int conn = ::accept(listen_fd_, nullptr, nullptr);
+        if (conn < 0) return;
+        serve(conn);
+      }
     });
   }
   ~HostileListener() {
+    // Ends an accept() still waiting for a connection that never came.
+    ::shutdown(listen_fd_, SHUT_RDWR);
     acceptor_.join();
     ::close(listen_fd_);
     ::unlink(path_.c_str());
@@ -321,8 +328,7 @@ TEST(SocketBackendTest, SubmitIsBoundedByItsDeadlineWhenThePeerStopsReading) {
   std::promise<void> release;
   std::shared_future<void> released = release.get_future().share();
   HostileListener mute(std::function<void(int)>([released](int fd) {
-    std::vector<uint8_t> scratch;
-    auto open = wire::ReadFrame(fd, &scratch);
+    auto open = wire::FrameReader(fd).Read();
     if (open.ok()) {
       static const BlockBuffer kEmpty;
       (void)wire::WriteFrame(
@@ -358,6 +364,139 @@ TEST(SocketBackendTest, SubmitIsBoundedByItsDeadlineWhenThePeerStopsReading) {
   release.set_value();
 }
 
+TEST(SocketBackendTest, PipelinedLargeRepliesDoNotDeadlockSubmit) {
+  // 64 downloads of 8192 x 8 B blocks at depth 16: every request and every
+  // reply is 64 KiB, so the in-flight requests overflow the socket buffers
+  // while the server sits blocked writing replies nobody has read yet.
+  // Submit must drain those replies while its own write waits for room;
+  // a write that only waits for room deadlocks against the server here.
+  constexpr uint64_t kN = 8192;
+  constexpr size_t kBlock = 8;
+  constexpr uint64_t kExchanges = 64;
+  std::vector<StorageRequest> plan;
+  for (uint64_t e = 0; e < kExchanges; ++e) {
+    std::vector<BlockId> indices(kN);
+    for (uint64_t i = 0; i < kN; ++i) indices[i] = (i + 97 * e) % kN;
+    plan.push_back(StorageRequest::DownloadOf(std::move(indices)));
+  }
+  StorageServer memory(kN, kBlock);
+  ASSERT_TRUE(memory.SetArray(MakeDatabase(kN, kBlock)).ok());
+  SocketBackend socket(kN, kBlock);
+  ASSERT_TRUE(socket.SetArray(MakeDatabase(kN, kBlock)).ok());
+  auto expected = RunExchangePipeline(&memory, plan, /*depth=*/16);
+  auto got = RunExchangePipeline(&socket, plan, /*depth=*/16);
+  ASSERT_TRUE(expected.ok() && got.ok()) << got.status();
+  EXPECT_EQ(got->exchanges, kExchanges);
+  EXPECT_EQ(got->reply_hash, expected->reply_hash);
+  EXPECT_TRUE(got->transport == expected->transport);
+  EXPECT_EQ(socket.transcript().ToString(), memory.transcript().ToString());
+}
+
+TEST(SocketBackendTest, DeadlineMidFrameKeepsTheStreamInSync) {
+  // The server writes half of the first reply, then nothing until the
+  // client's next request arrives — which the client sends only after
+  // Wait gave up on the first. Then it writes the rest of the first reply
+  // and the second reply back to back. The late half-frame must be
+  // consumed silently and the second exchange must get its own reply.
+  HostileListener slow(std::function<void(int)>([](int fd) {
+    wire::FrameReader reader(fd);
+    auto open = reader.Read();
+    if (open.ok()) {
+      static const BlockBuffer kEmpty;
+      (void)wire::WriteFrame(
+          fd, wire::EncodeReplyBlocks(kEmpty, open->header.ticket));
+    }
+    auto first = reader.Read();
+    if (first.ok()) {
+      BlockBuffer one(8);
+      one.Append(MarkerBlock(1, 8));
+      const wire::EncodedFrame late =
+          wire::EncodeReplyBlocks(one, first->header.ticket);
+      std::vector<uint8_t> bytes = late.head;
+      bytes.insert(bytes.end(), late.body.begin(), late.body.end());
+      const size_t half = bytes.size() / 2;
+      (void)::send(fd, bytes.data(), half, MSG_NOSIGNAL);
+      auto second = reader.Read();
+      if (second.ok()) {
+        (void)::send(fd, bytes.data() + half, bytes.size() - half,
+                     MSG_NOSIGNAL);
+        BlockBuffer two(8);
+        two.Append(MarkerBlock(2, 8));
+        (void)wire::WriteFrame(
+            fd, wire::EncodeReplyBlocks(two, second->header.ticket));
+        (void)reader.Read();  // until the client closes
+      }
+    }
+    ::close(fd);
+  }));
+  SocketBackendOptions options;
+  options.socket_path = slow.path();
+  SocketBackend backend(8, 8, options);
+  ASSERT_TRUE(backend.ConnectionStatus().ok());
+  StorageRequest first = StorageRequest::DownloadOf({1});
+  first.deadline_ms = 50;
+  auto timed_out = backend.Wait(backend.Submit(std::move(first)));
+  EXPECT_EQ(timed_out.status().code(), StatusCode::kDeadlineExceeded);
+
+  // Bounded too, so a client that lost sync fails here instead of hanging.
+  StorageRequest next = StorageRequest::DownloadOf({2});
+  next.deadline_ms = 5000;
+  auto second = backend.Wait(backend.Submit(std::move(next)));
+  ASSERT_TRUE(second.ok()) << second.status();
+  ASSERT_EQ(second->blocks.size(), 1u);
+  EXPECT_TRUE(IsMarkerBlock(second->blocks[0], 2));
+  EXPECT_TRUE(backend.ConnectionStatus().ok());
+  // Only the exchange that completed is on the adversary's record.
+  EXPECT_EQ(backend.roundtrip_count(), 1u);
+  EXPECT_EQ(backend.download_count(), 1u);
+}
+
+TEST(SocketBackendTest, RedialsAPeerThatClosedBetweenExchanges) {
+  // The server closes the first connection right after the Open
+  // handshake, while the client is idle, and serves a second one. Nothing
+  // reads the socket between calls, so with reconnect budget the next
+  // Submit must notice the close and redial instead of writing into the
+  // dead socket and failing the exchange.
+  std::promise<void> closed;
+  int accepted = 0;
+  HostileListener restarting(
+      std::function<void(int)>([&closed, &accepted](int fd) {
+        wire::FrameReader reader(fd);
+        auto open = reader.Read();
+        if (open.ok()) {
+          static const BlockBuffer kEmpty;
+          (void)wire::WriteFrame(
+              fd, wire::EncodeReplyBlocks(kEmpty, open->header.ticket));
+        }
+        if (++accepted == 1) {
+          ::close(fd);
+          closed.set_value();
+          return;
+        }
+        auto request = reader.Read();
+        if (request.ok() && request->indices.size() == 1) {
+          BlockBuffer one(8);
+          one.Append(MarkerBlock(request->indices[0], 8));
+          (void)wire::WriteFrame(
+              fd, wire::EncodeReplyBlocks(one, request->header.ticket));
+          (void)reader.Read();  // until the client closes
+        }
+        ::close(fd);
+      }),
+      /*connections=*/2);
+  SocketBackendOptions options;
+  options.socket_path = restarting.path();
+  options.max_reconnects = 1;
+  options.reconnect_base_ms = 0;
+  SocketBackend backend(8, 8, options);
+  ASSERT_TRUE(backend.ConnectionStatus().ok());
+  closed.get_future().wait();
+  auto reply = backend.Wait(backend.Submit(StorageRequest::DownloadOf({3})));
+  ASSERT_TRUE(reply.ok()) << reply.status();
+  EXPECT_TRUE(IsMarkerBlock(reply->blocks[0], 3));
+  EXPECT_EQ(backend.RetriedAttempts(), 1u);
+}
+
 TEST(SocketBackendTest, ServerCapsHostileDownloadReplySize) {
   // The flip side of the client's frame-cap guard: a hostile raw client
   // (not a SocketBackend) opens an arena of huge blocks and sends a small
@@ -367,19 +506,19 @@ TEST(SocketBackendTest, ServerCapsHostileDownloadReplySize) {
   ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
   std::thread server([fd = fds[1]] { ServeStorageConnection(fd); });
   const int fd = fds[0];
-  std::vector<uint8_t> scratch;
+  wire::FrameReader reader(fd);
   ASSERT_TRUE(wire::WriteFrame(fd, wire::EncodeControl(
                                        wire::FrameType::kOpen, /*ticket=*/1,
                                        /*aux=*/4, /*block_size=*/1u << 20))
                   .ok());
-  auto ack = wire::ReadFrame(fd, &scratch);
+  auto ack = reader.Read();
   ASSERT_TRUE(ack.ok());
   ASSERT_EQ(ack->header.type, wire::FrameType::kReplyBlocks);
 
   StorageRequest huge =
       StorageRequest::DownloadOf(std::vector<BlockId>(2048, 0));
   ASSERT_TRUE(wire::WriteFrame(fd, wire::EncodeRequest(huge, 2)).ok());
-  auto reply = wire::ReadFrame(fd, &scratch);
+  auto reply = reader.Read();
   ASSERT_TRUE(reply.ok());
   EXPECT_EQ(reply->header.type, wire::FrameType::kReplyError);
   EXPECT_EQ(static_cast<StatusCode>(reply->header.code),
@@ -389,7 +528,7 @@ TEST(SocketBackendTest, ServerCapsHostileDownloadReplySize) {
       wire::WriteFrame(fd, wire::EncodeRequest(
                                StorageRequest::DownloadOf({0}), 3))
           .ok());
-  auto sane = wire::ReadFrame(fd, &scratch);
+  auto sane = reader.Read();
   ASSERT_TRUE(sane.ok());
   EXPECT_EQ(sane->header.type, wire::FrameType::kReplyBlocks);
   ::close(fd);

@@ -534,14 +534,16 @@ TEST(EngineEquivalenceTest, SchemeViewBitIdenticalToMemoryOnBusyEngine) {
 
 /// Minimal wire client for driving a service connection directly.
 struct WireClient {
+  explicit WireClient(int client_fd = -1) : fd(client_fd), reader(fd) {}
+
   int fd = -1;
-  std::vector<uint8_t> scratch;
+  wire::FrameReader reader;
   uint64_t next_ticket = 1;
 
   StatusOr<wire::DecodedFrame> RoundTrip(wire::EncodedFrame frame) {
     Status written = wire::WriteFrame(fd, frame);
     if (!written.ok()) return written;
-    return wire::ReadFrame(fd, &scratch);
+    return reader.Read();
   }
 };
 
@@ -555,10 +557,8 @@ TEST(StorageServiceTest, ConnectionsShareANamespaceAndDrainCleanly) {
   ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, b), 0);
   ASSERT_TRUE(service->HandleConnection(a[1]));
   ASSERT_TRUE(service->HandleConnection(b[1]));
-  WireClient alice;
-  alice.fd = a[0];
-  WireClient bob;
-  bob.fd = b[0];
+  WireClient alice(a[0]);
+  WireClient bob(b[0]);
 
   // Both connections attach-or-create shared namespace 5 (8 x 4).
   for (WireClient* client : {&alice, &bob}) {
@@ -594,8 +594,7 @@ TEST(StorageServiceTest, ConnectionsShareANamespaceAndDrainCleanly) {
   int c[2];
   ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, c), 0);
   ASSERT_TRUE(service->HandleConnection(c[1]));
-  WireClient carol;
-  carol.fd = c[0];
+  WireClient carol(c[0]);
   StatusOr<wire::DecodedFrame> refused = carol.RoundTrip(
       wire::EncodeOpen(carol.next_ticket++, 99, 4, /*namespace_id=*/5,
                        /*mode=*/1));
@@ -622,8 +621,7 @@ TEST(StorageServiceTest, PreOpenErrorsAreV1AndReservedIdsAreRefused) {
   int s[2];
   ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, s), 0);
   ASSERT_TRUE(service.HandleConnection(s[1]));
-  WireClient client;
-  client.fd = s[0];
+  WireClient client(s[0]);
 
   // A request before any Open draws an error the client can decode even
   // if it only speaks wire v1: the reply is encoded at kMinWireVersion.
@@ -694,7 +692,7 @@ std::vector<WireClient> OpenShared(StorageService& service, size_t count,
     int fds[2];
     EXPECT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
     EXPECT_TRUE(service.HandleConnection(fds[1]));
-    client.fd = fds[0];
+    client = WireClient(fds[0]);
     StatusOr<wire::DecodedFrame> ack = client.RoundTrip(
         wire::EncodeOpen(client.next_ticket++, n, bs, id, /*mode=*/1));
     EXPECT_TRUE(ack.ok() &&
@@ -766,19 +764,19 @@ TEST(StorageServiceTest, QueuedFramesFuseAcrossConnectionsBehindTheOnlySlot) {
 
   // A reads its reply; the slot's release drains the queue, and the two
   // same-namespace downloads ride one fused engine exchange.
-  StatusOr<wire::DecodedFrame> whole = wire::ReadFrame(a.fd, &a.scratch);
+  StatusOr<wire::DecodedFrame> whole = a.reader.Read();
   ASSERT_TRUE(whole.ok());
   ASSERT_EQ(whole->payload.size(), kBigN);
   for (uint64_t i = 0; i < kBigN; ++i) {
     ASSERT_EQ(ToBlock(whole->payload[i]), MarkerBlock(i, kBigBlock)) << i;
   }
-  StatusOr<wire::DecodedFrame> got_b = wire::ReadFrame(b.fd, &b.scratch);
+  StatusOr<wire::DecodedFrame> got_b = b.reader.Read();
   ASSERT_TRUE(got_b.ok());
   ASSERT_EQ(got_b->payload.size(), 2u);
   EXPECT_EQ(got_b->header.ticket, b.next_ticket - 1);
   EXPECT_EQ(ToBlock(got_b->payload[0]), MarkerBlock(1, kBigBlock));
   EXPECT_EQ(ToBlock(got_b->payload[1]), MarkerBlock(2, kBigBlock));
-  StatusOr<wire::DecodedFrame> got_c = wire::ReadFrame(c.fd, &c.scratch);
+  StatusOr<wire::DecodedFrame> got_c = c.reader.Read();
   ASSERT_TRUE(got_c.ok());
   ASSERT_EQ(got_c->payload.size(), 1u);
   EXPECT_EQ(got_c->header.ticket, c.next_ticket - 1);
@@ -822,7 +820,7 @@ TEST(StorageServiceTest, DrainingReaderStillServesItsOwnClient) {
   constexpr uint64_t kPipeline = 4000;
   std::thread b_replies([&b] {
     for (uint64_t i = 0; i < kPipeline; ++i) {
-      if (!wire::ReadFrame(b.fd, &b.scratch).ok()) return;
+      if (!b.reader.Read().ok()) return;
     }
   });
   for (uint64_t i = 0; i < kPipeline; ++i) {
@@ -837,7 +835,7 @@ TEST(StorageServiceTest, DrainingReaderStillServesItsOwnClient) {
 
   // A reads its reply — its reader now drains B's pipeline — and at once
   // sends one more request, which must not wait for the whole pipeline.
-  ASSERT_TRUE(wire::ReadFrame(a.fd, &a.scratch).ok());
+  ASSERT_TRUE(a.reader.Read().ok());
   StatusOr<wire::DecodedFrame> next =
       a.RoundTrip(wire::EncodeRequest(DownloadRequest({7}), a.next_ticket++));
   const uint64_t served_by_then = service.Counters().exchanges_served;
