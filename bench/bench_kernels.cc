@@ -1,5 +1,8 @@
 // Data-plane kernel microbench: scalar vs SIMD bytes/sec for the three
-// storage hot-loop primitives (storage/kernels.h). Every variant the host
+// storage hot-loop primitives (storage/kernels.h), plus the lane-parallel
+// ChaCha20 keystream (crypto/chacha20.h) in ns per 64 B block and a
+// Path-ORAM-shaped cipher batch (68 slots of 81 B: encrypt + decrypt, the
+// crypto one path read and one path write cost). Every variant the host
 // CPU supports is measured on the same buffers, so the BENCH cells record
 // both the absolute scan bandwidth and the SIMD speedup the dispatch layer
 // buys over the portable baseline (the acceptance bar: SelectXorScan SIMD
@@ -7,12 +10,16 @@
 // tests/kernels_test.cc's job, the throughput is measured here).
 #include <chrono>
 #include <cstdint>
+#include <cstdlib>
 #include <iostream>
 #include <string>
 #include <vector>
 
 #include "bench_json.h"
 
+#include "crypto/chacha20.h"
+#include "crypto/cipher.h"
+#include "storage/block_buffer.h"
 #include "storage/kernels.h"
 #include "util/random.h"
 #include "util/table.h"
@@ -39,10 +46,10 @@ std::vector<uint8_t> RandomBytes(Rng* rng, size_t len) {
   return bytes;
 }
 
-/// Best-of-trials throughput of `fn` (one pass = `bytes_per_pass` bytes),
-/// in GiB/s. Repetitions are calibrated so a trial runs ~50 ms.
+/// Best-of-trials seconds per call of `fn`. Repetitions are calibrated so
+/// a trial runs ~50 ms.
 template <typename Fn>
-double MeasureGiBs(size_t bytes_per_pass, const Fn& fn) {
+double BestSecondsPerPass(const Fn& fn) {
   using Clock = std::chrono::steady_clock;
   fn();  // warm caches and the dispatch
   int reps = 1;
@@ -65,7 +72,14 @@ double MeasureGiBs(size_t bytes_per_pass, const Fn& fn) {
         std::chrono::duration<double>(Clock::now() - start).count();
     if (sec / reps < best_sec_per_pass) best_sec_per_pass = sec / reps;
   }
-  return static_cast<double>(bytes_per_pass) / best_sec_per_pass /
+  return best_sec_per_pass;
+}
+
+/// Best-of-trials throughput of `fn` (one pass = `bytes_per_pass` bytes),
+/// in GiB/s.
+template <typename Fn>
+double MeasureGiBs(size_t bytes_per_pass, const Fn& fn) {
+  return static_cast<double>(bytes_per_pass) / BestSecondsPerPass(fn) /
          static_cast<double>(size_t{1} << 30);
 }
 
@@ -161,12 +175,93 @@ void Run() {
   cr.Emit();
 }
 
+// Keystream lanes per pass: distinct random keys, nonces and counters, as
+// a DPF level or a cipher batch feeds them.
+constexpr size_t kLanes = 1024;
+// The Path ORAM path at n = 2^16, Z = 4: 17 levels x 4 slots of
+// flag | id | leaf | 64 B value.
+constexpr size_t kPathSlots = 68;
+constexpr size_t kPathBody = 81;
+
+void RunChaCha() {
+  Rng rng(2027);
+  const std::vector<uint8_t> keys =
+      RandomBytes(&rng, kLanes * crypto::kChaChaKeySize);
+  const std::vector<uint8_t> nonces =
+      RandomBytes(&rng, kLanes * crypto::kChaChaNonceSize);
+  std::vector<crypto::ChaChaLane> lanes(kLanes);
+  for (size_t i = 0; i < kLanes; ++i) {
+    lanes[i] = {keys.data() + i * crypto::kChaChaKeySize,
+                nonces.data() + i * crypto::kChaChaNonceSize,
+                static_cast<uint32_t>(rng.Uniform(uint64_t{1} << 32))};
+  }
+  std::vector<uint8_t> out(kLanes * crypto::kChaChaBlockSize);
+
+  PrintBanner(std::cout,
+              "ChaCha20 keystream: ns per 64 B block (1024 independent "
+              "lanes per pass)");
+  TablePrinter table({"variant", "ns/block", "vs scalar"});
+  bench::BenchJson ks("kernels_chacha20_keystream");
+  ks.Metric("lanes", kLanes);
+  ks.Metric("active_variant",
+            std::string(kernels::VariantName(kernels::ActiveVariant())));
+  double scalar_ns = 0;
+  for (Variant v : SupportedVariants()) {
+    const double ns = 1e9 / kLanes * BestSecondsPerPass([&] {
+      crypto::ChaCha20BlocksVariant(v, lanes.data(), kLanes, out.data());
+    });
+    if (v == Variant::kScalar) scalar_ns = ns;
+    ks.Metric(std::string(kernels::VariantName(v)) + "_ns_per_block", ns);
+    table.AddRow()
+        .AddCell(kernels::VariantName(v))
+        .AddDouble(ns, 1)
+        .AddDouble(ns > 0 ? scalar_ns / ns : 1.0, 2);
+  }
+  table.Print(std::cout);
+
+  // The cipher batch one Path ORAM access runs (ReadPath decrypts the
+  // path, WritePath encrypts it), against the same slots one call each.
+  bench::BenchJson cp("kernels_cipher_path");
+  cp.Metric("slots", kPathSlots);
+  cp.Metric("body_bytes", kPathBody);
+  cp.Metric("active_variant",
+            std::string(kernels::VariantName(kernels::ActiveVariant())));
+  const crypto::Cipher cipher = crypto::Cipher::WithRandomKey();
+  BlockBuffer path = BlockBuffer::Zeroed(
+      kPathSlots, crypto::Cipher::CiphertextSize(kPathBody));
+  bool ok = true;
+  const double batch_us = 1e6 * BestSecondsPerPass([&] {
+    cipher.EncryptBatch(path);
+    ok = ok && cipher.DecryptBatch(path).ok();
+  });
+  const double per_slot_us = 1e6 * BestSecondsPerPass([&] {
+    for (size_t k = 0; k < kPathSlots; ++k) {
+      cipher.EncryptInPlace(path.Mutable(k));
+    }
+    for (size_t k = 0; k < kPathSlots; ++k) {
+      ok = ok && cipher.DecryptInPlace(path.Mutable(k)).ok();
+    }
+  });
+  if (!ok) {
+    std::cerr << "cipher_path: a batch failed to decrypt\n";
+    std::exit(1);
+  }
+  cp.Metric("cipher_path_us", batch_us);
+  cp.Metric("per_slot_calls_us", per_slot_us);
+  std::cout << "\ncipher_path (" << kPathSlots << " slots x " << kPathBody
+            << " B, encrypt + decrypt): batch " << batch_us
+            << " us, one call per slot " << per_slot_us << " us\n";
+  ks.Emit();
+  cp.Emit();
+}
+
 }  // namespace
 }  // namespace dpstore
 
 int main() {
   dpstore::bench::BenchJson json("kernels");
   dpstore::Run();
+  dpstore::RunChaCha();
   json.Emit();
   return 0;
 }

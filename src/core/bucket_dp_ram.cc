@@ -37,14 +37,15 @@ Status BucketDpRam::Setup(const std::vector<Block>& node_plaintexts) {
   if (node_plaintexts.size() != num_nodes_) {
     return InvalidArgumentError("Setup: wrong node count");
   }
-  std::vector<Block> array(num_nodes_);
-  for (uint64_t i = 0; i < num_nodes_; ++i) {
-    if (node_plaintexts[i].size() != node_size_) {
+  for (const Block& node : node_plaintexts) {
+    if (node.size() != node_size_) {
       return InvalidArgumentError("Setup: node size mismatch");
     }
-    array[i] = cipher_.EncryptCopy(node_plaintexts[i]);
   }
-  return server_->SetArray(std::move(array));
+  return server_->SetArray(cipher_.EncryptArray(
+      num_nodes_, node_size_, [&](size_t i, MutableBlockView plain) {
+        CopyBytes(plain.data(), node_plaintexts[i].data(), node_size_);
+      }));
 }
 
 Status BucketDpRam::SetupZero() {
@@ -133,35 +134,34 @@ StatusOr<std::vector<Block>> BucketDpRam::Query(uint64_t bucket,
   for (NodeId node : buckets_[download_bucket]) download_addrs.push_back(node);
   for (NodeId node : buckets_[overwrite_bucket])
     download_addrs.push_back(node);
-  // Both phases' 2s ciphertexts arrive in one flat reply buffer and are
-  // decrypted in place there; only the bucket's logical content (and the
+  // Both phases' 2s ciphertexts arrive in one flat reply buffer. The
+  // halves this query reads (the queried bucket unless it is stashed, the
+  // overwrite bucket when it is re-randomized) are decrypted in place
+  // there in one batch; only the bucket's logical content (and the
   // overlay copies) are ever materialized as owned blocks.
   DPSTORE_ASSIGN_OR_RETURN(
       StorageReply reply,
       server_->Exchange(StorageRequest::DownloadOf(download_addrs)));
+  const size_t first_read = was_stashed ? arity : 0;
+  const size_t end_read = stash_coin ? 2 * arity : arity;
+  if (first_read < end_read) {
+    DPSTORE_RETURN_IF_ERROR(
+        cipher_.DecryptBatch(reply.blocks, first_read, end_read - first_read));
+  }
 
   std::vector<Block> content(arity);
-  if (was_stashed) {
-    for (size_t k = 0; k < arity; ++k) {
-      auto it = overlay_.find(nodes[k]);
-      DPSTORE_CHECK(it != overlay_.end())
+  for (size_t k = 0; k < arity; ++k) {
+    // Appendix E: a node shared with a stashed bucket is served from the
+    // client copy, not the (stale) server copy. A stashed bucket's nodes
+    // are all in the overlay.
+    auto it = overlay_.find(nodes[k]);
+    if (it != overlay_.end()) {
+      content[k] = it->second;
+    } else {
+      DPSTORE_CHECK(!was_stashed)
           << "stashed bucket " << bucket << " missing overlay node "
           << nodes[k];
-      content[k] = it->second;
-    }
-  } else {
-    for (size_t k = 0; k < arity; ++k) {
-      // Appendix E: a node shared with a stashed bucket is served from the
-      // client copy, not the (stale) server copy.
-      auto it = overlay_.find(nodes[k]);
-      if (it != overlay_.end()) {
-        content[k] = it->second;
-      } else {
-        DPSTORE_ASSIGN_OR_RETURN(
-            MutableBlockView plain,
-            cipher_.DecryptInPlace(reply.blocks.Mutable(k)));
-        content[k] = ToBlock(plain);
-      }
+      content[k] = ToBlock(crypto::Cipher::Body(reply.blocks[k]));
     }
   }
 
@@ -172,31 +172,22 @@ StatusOr<std::vector<Block>> BucketDpRam::Query(uint64_t bucket,
   }
 
   // --- Overwrite phase write-back ---
-  // Fresh ciphertexts are staged and encrypted IN PLACE inside the flat
-  // upload payload: the s-node write-back costs one buffer, not s vectors.
+  // Fresh ciphertexts are staged inside the flat upload payload and
+  // encrypted there in one batch: the s-node write-back costs one buffer,
+  // not s vectors. The stash branch re-encrypts the overwrite bucket's
+  // server copies verbatim (possibly stale; staleness is tracked by the
+  // overlay, so that is correct).
   const auto& overwrite_nodes = buckets_[overwrite_bucket];
-  const size_t ct_size = crypto::Cipher::CiphertextSize(node_size_);
-  BlockBuffer fresh = BlockBuffer::Uninitialized(arity, ct_size);
-  if (stash_coin) {
-    // Re-encrypt the overwrite bucket's server copies verbatim (possibly
-    // stale; staleness is tracked by the overlay, so that is correct).
-    for (size_t k = 0; k < arity; ++k) {
-      DPSTORE_ASSIGN_OR_RETURN(
-          MutableBlockView plain,
-          cipher_.DecryptInPlace(reply.blocks.Mutable(arity + k)));
-      MutableBlockView slot = fresh.Mutable(k);
-      CopyBytes(slot.data() + crypto::Cipher::PlaintextOffset(), plain.data(),
-                plain.size());
-      cipher_.EncryptInPlace(slot);
-    }
-  } else {
-    for (size_t k = 0; k < arity; ++k) {
-      MutableBlockView slot = fresh.Mutable(k);
-      CopyBytes(slot.data() + crypto::Cipher::PlaintextOffset(),
-                content[k].data(), content[k].size());
-      cipher_.EncryptInPlace(slot);
-    }
+  BlockBuffer fresh = BlockBuffer::Uninitialized(
+      arity, crypto::Cipher::CiphertextSize(node_size_));
+  for (size_t k = 0; k < arity; ++k) {
+    const BlockView plain =
+        stash_coin ? crypto::Cipher::Body(reply.blocks[arity + k])
+                   : BlockView(content[k]);
+    CopyBytes(crypto::Cipher::Body(fresh.Mutable(k)).data(), plain.data(),
+              plain.size());
   }
+  cipher_.EncryptBatch(fresh);
   DPSTORE_RETURN_IF_ERROR(
       server_
           ->Exchange(StorageRequest::UploadOf(overwrite_nodes,

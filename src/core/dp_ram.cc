@@ -36,10 +36,16 @@ DpRam::DpRam(std::vector<Block> database, DpRamOptions options)
   }
 
   // Algorithm 2 (Setup): A[i] <- Enc(K, B_i); stash each record w.p. p.
-  std::vector<Block> array(n_);
+  std::vector<Block> array;
+  if (options_.encrypted) {
+    array = cipher_->EncryptArray(
+        n_, record_size_, [&](size_t i, MutableBlockView plain) {
+          CopyBytes(plain.data(), database[i].data(), record_size_);
+        });
+  } else {
+    array = database;
+  }
   for (uint64_t i = 0; i < n_; ++i) {
-    array[i] = options_.encrypted ? cipher_->EncryptCopy(database[i])
-                                  : database[i];
     if (rng_.Bernoulli(options_.stash_probability)) {
       stash_.Put(i, database[i]);
     }
@@ -71,11 +77,6 @@ Status DpRam::UploadRecord(BlockId index, BlockView record) {
   return server_
       ->Exchange(StorageRequest::UploadOf({index}, std::move(payload)))
       .status();
-}
-
-StatusOr<Block> DpRam::DecodeRecord(Block server_block) const {
-  if (!options_.encrypted) return server_block;
-  return cipher_->Decrypt(server_block);
 }
 
 StatusOr<Block> DpRam::Read(BlockId index) {

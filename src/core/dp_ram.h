@@ -109,7 +109,6 @@ class DpRam : public RamScheme {
   StatusOr<Block> Query(BlockId index, Op op, const Block* new_value);
 
   Status UploadRecord(BlockId index, BlockView record);
-  StatusOr<Block> DecodeRecord(Block server_block) const;
 
   uint64_t n_;
   size_t record_size_;

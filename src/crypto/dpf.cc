@@ -27,10 +27,24 @@ struct Children {
   uint8_t t_right = 0;
 };
 
+/// Nodes handed to ChaCha20Blocks per call by the level-wide expansion:
+/// eight full 8-lane groups.
+constexpr size_t kGroupNodes = 8 * kChaChaLanes;
+
 ChaChaKey CipherKey(const Seed& seed) {
   ChaChaKey key{};
   std::memcpy(key.data(), seed.data(), kDpfSeedSize);
   return key;
+}
+
+/// The length-doubling PRG's output split into child seeds and bits.
+Children ChildrenOf(const uint8_t block[kChaChaBlockSize]) {
+  Children c;
+  std::memcpy(c.left.data(), block, kDpfSeedSize);
+  std::memcpy(c.right.data(), block + kDpfSeedSize, kDpfSeedSize);
+  c.t_left = block[2 * kDpfSeedSize] & 1;
+  c.t_right = block[2 * kDpfSeedSize + 1] & 1;
+  return c;
 }
 
 /// The length-doubling PRG: one ChaCha20 block keyed by the node seed
@@ -39,12 +53,7 @@ Children Expand(const Seed& seed) {
   const ChaChaNonce nonce{};  // all-zero: the seed is fresh per node
   uint8_t block[kChaChaBlockSize];
   ChaCha20Block(CipherKey(seed), nonce, 0, block);
-  Children c;
-  std::memcpy(c.left.data(), block, kDpfSeedSize);
-  std::memcpy(c.right.data(), block + kDpfSeedSize, kDpfSeedSize);
-  c.t_left = block[2 * kDpfSeedSize] & 1;
-  c.t_right = block[2 * kDpfSeedSize + 1] & 1;
-  return c;
+  return ChildrenOf(block);
 }
 
 /// The leaf conversion: the same key and nonce at counter 1, so the output
@@ -55,15 +64,35 @@ void Convert(const Seed& seed, uint8_t out[kDpfLeafBytes]) {
   ChaCha20Block(CipherKey(seed), nonce, 1, out);
 }
 
+/// Expand (counter 0) or Convert (counter 1) for nodes[0, count), count <=
+/// kGroupNodes, in one ChaCha20Blocks call: one lane per node, each keyed
+/// by its own seed. Block j lands at out[64 j, 64 j + 64).
+void NodeBlocks(const Node* nodes, size_t count, uint32_t counter,
+                uint8_t* out) {
+  static constexpr ChaChaNonce kZeroNonce{};
+  ChaChaKey keys[kGroupNodes];
+  ChaChaLane lanes[kGroupNodes];
+  for (size_t j = 0; j < count; ++j) {
+    keys[j] = CipherKey(nodes[j].s);
+    lanes[j] = {keys[j].data(), kZeroNonce.data(), counter};
+  }
+  ChaCha20Blocks(lanes, count, out);
+}
+
+/// Applies the output correction word to a converted leaf block when the
+/// leaf's control bit is set.
+void CorrectLeaf(const DpfKey& key, uint8_t t, uint8_t block[kDpfLeafBytes]) {
+  if (!t) return;
+  for (size_t i = 0; i < kDpfLeafBytes; ++i) {
+    block[i] = static_cast<uint8_t>(block[i] ^ key.output_cw[i]);
+  }
+}
+
 /// One party's output block at a leaf: Convert(s), corrected when t = 1.
 void LeafBlock(const DpfKey& key, const Node& leaf,
                uint8_t out[kDpfLeafBytes]) {
   Convert(leaf.s, out);
-  if (leaf.t) {
-    for (size_t i = 0; i < kDpfLeafBytes; ++i) {
-      out[i] = static_cast<uint8_t>(out[i] ^ key.output_cw[i]);
-    }
-  }
+  CorrectLeaf(key, leaf.t, out);
 }
 
 inline uint64_t LoadLe64(const uint8_t* p) {
@@ -78,12 +107,11 @@ inline void XorSeed(Seed& dst, const Seed& src) {
   }
 }
 
-/// Expands `node` one level down with correction word `cw`, returning
-/// (left child, right child) as full Nodes.
-inline void Step(const Node& node, const DpfKey::CorrectionWord& cw,
-                 Node* left, Node* right) {
-  Children c = Expand(node.s);
-  if (node.t) {
+/// Corrects the children `c` of a node with control bit `t` by `cw`,
+/// returning (left child, right child) as full Nodes.
+inline void Correct(Children c, uint8_t t, const DpfKey::CorrectionWord& cw,
+                    Node* left, Node* right) {
+  if (t) {
     XorSeed(c.left, cw.seed);
     XorSeed(c.right, cw.seed);
     c.t_left = static_cast<uint8_t>(c.t_left ^ cw.t_left);
@@ -93,6 +121,28 @@ inline void Step(const Node& node, const DpfKey::CorrectionWord& cw,
   left->t = c.t_left;
   right->s = c.right;
   right->t = c.t_right;
+}
+
+/// Expands `node` one level down with correction word `cw`.
+inline void Step(const Node& node, const DpfKey::CorrectionWord& cw,
+                 Node* left, Node* right) {
+  Correct(Expand(node.s), node.t, cw, left, right);
+}
+
+/// Step over a whole level: cur[0, count) into next[0, 2 count), the PRG
+/// blocks kGroupNodes nodes at a time.
+void ExpandLevel(const Node* cur, size_t count,
+                 const DpfKey::CorrectionWord& cw, Node* next) {
+  uint8_t blocks[kGroupNodes * kChaChaBlockSize];
+  for (size_t first = 0; first < count; first += kGroupNodes) {
+    const size_t m = std::min(kGroupNodes, count - first);
+    NodeBlocks(cur + first, m, /*counter=*/0, blocks);
+    for (size_t j = 0; j < m; ++j) {
+      const size_t k = first + j;
+      Correct(ChildrenOf(blocks + j * kChaChaBlockSize), cur[k].t, cw,
+              &next[2 * k], &next[2 * k + 1]);
+    }
+  }
 }
 
 Seed RandomSeed() {
@@ -262,12 +312,24 @@ std::vector<uint64_t> DpfEvalFull(const DpfKey& key) {
   const size_t leaf_words = static_cast<size_t>((leaf_bits + 63) / 64);
   const uint64_t last_mask =
       leaf_bits >= 64 ? ~uint64_t{0} : (uint64_t{1} << leaf_bits) - 1;
-  auto emit = [&](const Node& leaf, uint64_t leaf_index) {
-    uint8_t block[kDpfLeafBytes];
-    LeafBlock(key, leaf, block);
-    uint64_t* dst = out.data() + leaf_index * (kDpfLeafBytes / 8);
-    for (size_t w = 0; w < leaf_words; ++w) dst[w] = LoadLe64(block + 8 * w);
-    dst[leaf_words - 1] &= last_mask;
+  // Converts leaves[0, count), numbered from first_leaf, kGroupNodes at a
+  // time, and packs them into the word vector.
+  auto emit = [&](const Node* leaves, size_t count, uint64_t first_leaf) {
+    uint8_t blocks[kGroupNodes * kDpfLeafBytes];
+    for (size_t first = 0; first < count; first += kGroupNodes) {
+      const size_t m = std::min(kGroupNodes, count - first);
+      NodeBlocks(leaves + first, m, /*counter=*/1, blocks);
+      for (size_t j = 0; j < m; ++j) {
+        uint8_t* block = blocks + j * kDpfLeafBytes;
+        CorrectLeaf(key, leaves[first + j].t, block);
+        uint64_t* dst =
+            out.data() + (first_leaf + first + j) * (kDpfLeafBytes / 8);
+        for (size_t w = 0; w < leaf_words; ++w) {
+          dst[w] = LoadLe64(block + 8 * w);
+        }
+        dst[leaf_words - 1] &= last_mask;
+      }
+    }
   };
 
   // Split the tree into a top section expanded breadth-first once and a
@@ -282,9 +344,7 @@ std::vector<uint64_t> DpfEvalFull(const DpfKey& key) {
   std::vector<Node> next;
   for (uint8_t level = 0; level < split; ++level) {
     next.resize(top.size() * 2);
-    for (size_t j = 0; j < top.size(); ++j) {
-      Step(top[j], key.cw[level], &next[2 * j], &next[2 * j + 1]);
-    }
+    ExpandLevel(top.data(), top.size(), key.cw[level], next.data());
     top.swap(next);
   }
 
@@ -296,12 +356,10 @@ std::vector<uint64_t> DpfEvalFull(const DpfKey& key) {
     cur.assign(1, top[j]);
     for (uint8_t level = split; level < levels; ++level) {
       next.resize(cur.size() * 2);
-      for (size_t k = 0; k < cur.size(); ++k) {
-        Step(cur[k], key.cw[level], &next[2 * k], &next[2 * k + 1]);
-      }
+      ExpandLevel(cur.data(), cur.size(), key.cw[level], next.data());
       cur.swap(next);
     }
-    for (uint64_t k = 0; k < sub_leaves; ++k) emit(cur[k], j * sub_leaves + k);
+    emit(cur.data(), cur.size(), j * sub_leaves);
   }
   return out;
 }

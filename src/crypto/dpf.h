@@ -32,10 +32,15 @@
 /// e_(alpha mod 512). Output bit j of a leaf is bit (j & 7) of its byte
 /// j >> 3. DpfEvalFull therefore costs 2^(depth-9) - 1 tree expansions
 /// plus 2^(depth-9) conversions (~256x fewer PRG blocks than expanding a
-/// tree down to every point), expands level-by-level in bounded working
-/// memory, and packs the leaf blocks with explicit little-endian loads
-/// into the word vector that storage/kernels.h SelectXorScan gates its
-/// XOR scan with.
+/// tree down to every point; 4,095 blocks at depth 20), expands
+/// level-by-level in bounded working memory, and packs the leaf blocks
+/// with explicit little-endian loads into the word vector that
+/// storage/kernels.h SelectXorScan gates its XOR scan with. Each level's
+/// expansions, and the leaf conversions, go to the lane-parallel
+/// ChaCha20Blocks (crypto/chacha20.h) 64 nodes per call, one lane per node
+/// keyed by its own seed, so the AVX2 tier computes them 8 at a time;
+/// levels narrower than 8 nodes take the scalar rounds. DpfGen and
+/// DpfEvalPoint walk one path and stay one block per call.
 ///
 /// Parsing is defensive by contract: serialized keys may arrive over the
 /// wire from an untrusted peer, so truncated, oversized, or corrupt keys

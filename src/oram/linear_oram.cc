@@ -12,11 +12,13 @@ LinearOram::LinearOram(std::vector<Block> database, uint64_t seed,
   (void)seed;  // scheme is deterministic given the database
   DPSTORE_CHECK_GT(n_, 0u);
   record_size_ = database[0].size();
-  std::vector<Block> array(n_);
-  for (uint64_t i = 0; i < n_; ++i) {
-    DPSTORE_CHECK_EQ(database[i].size(), record_size_);
-    array[i] = cipher_.EncryptCopy(database[i]);
+  for (const Block& record : database) {
+    DPSTORE_CHECK_EQ(record.size(), record_size_);
   }
+  std::vector<Block> array = cipher_.EncryptArray(
+      n_, record_size_, [&](size_t i, MutableBlockView plain) {
+        CopyBytes(plain.data(), database[i].data(), record_size_);
+      });
   server_ = MakeBackend(backend_factory, n_,
                         crypto::Cipher::CiphertextSize(record_size_));
   DPSTORE_CHECK_OK(server_->SetArray(std::move(array)));
@@ -29,29 +31,27 @@ StatusOr<Block> LinearOram::Access(BlockId id, const Block* new_value) {
   std::iota(all.begin(), all.end(), 0);
   // Full scan as one batched exchange: a single roundtrip for 2n blocks.
   // The downloaded ciphertexts are decrypted in place in the flat reply
-  // buffer, and the fresh ciphertexts are staged + encrypted in place in
-  // the flat upload payload — the 2n-block scan allocates two buffers, not
-  // 4n vectors.
+  // buffer, and the fresh ciphertexts are staged in the flat upload
+  // payload and encrypted there — each side is one batch, and the 2n-block
+  // scan allocates two buffers, not 4n vectors.
   DPSTORE_ASSIGN_OR_RETURN(
       StorageReply reply,
       server_->Exchange(StorageRequest::DownloadOf(all)));
-  Block result;
-  const size_t ct_size = crypto::Cipher::CiphertextSize(record_size_);
-  BlockBuffer fresh = BlockBuffer::Uninitialized(n_, ct_size);
+  DPSTORE_RETURN_IF_ERROR(cipher_.DecryptBatch(reply.blocks));
+  const BlockView target = crypto::Cipher::Body(reply.blocks[id]);
+  Block result(target.begin(), target.end());
+  BlockBuffer fresh = BlockBuffer::Uninitialized(
+      n_, crypto::Cipher::CiphertextSize(record_size_));
   for (uint64_t i = 0; i < n_; ++i) {
-    DPSTORE_ASSIGN_OR_RETURN(MutableBlockView plain,
-                             cipher_.DecryptInPlace(reply.blocks.Mutable(i)));
-    if (i == id) {
-      result = ToBlock(plain);
-      if (new_value != nullptr) {
-        CopyBytes(plain.data(), new_value->data(), new_value->size());
-      }
-    }
-    MutableBlockView slot = fresh.Mutable(i);
-    CopyBytes(slot.data() + crypto::Cipher::PlaintextOffset(), plain.data(),
+    const BlockView plain = crypto::Cipher::Body(reply.blocks[i]);
+    CopyBytes(crypto::Cipher::Body(fresh.Mutable(i)).data(), plain.data(),
               plain.size());
-    cipher_.EncryptInPlace(slot);
   }
+  if (new_value != nullptr) {
+    CopyBytes(crypto::Cipher::Body(fresh.Mutable(id)).data(),
+              new_value->data(), new_value->size());
+  }
+  cipher_.EncryptBatch(fresh);
   DPSTORE_RETURN_IF_ERROR(
       server_
           ->Exchange(

@@ -65,19 +65,20 @@ PathOram::PathOram(std::vector<Block> database, PathOramOptions options)
   }
   stash_peak_ = stash_.size();
 
-  std::vector<Block> array(num_buckets_ * options_.bucket_capacity);
-  Block dummy_payload(options_.block_size, 0);
-  for (uint64_t b = 0; b < num_buckets_; ++b) {
-    for (uint64_t z = 0; z < options_.bucket_capacity; ++z) {
-      uint64_t slot = b * options_.bucket_capacity + z;
-      if (z < buckets[b].size()) {
-        auto& [id, leaf, value] = buckets[b][z];
-        array[slot] = EncodeSlot(true, id, leaf, value);
-      } else {
-        array[slot] = EncodeSlot(false, 0, 0, dummy_payload);
-      }
-    }
-  }
+  const uint64_t z_cap = options_.bucket_capacity;
+  const Block dummy_payload(options_.block_size, 0);
+  std::vector<Block> array = cipher_.EncryptArray(
+      num_buckets_ * z_cap, slot_plain,
+      [&](size_t slot, MutableBlockView plain) {
+        const auto& bucket = buckets[slot / z_cap];
+        const size_t z = slot % z_cap;
+        if (z < bucket.size()) {
+          const auto& [id, leaf, value] = bucket[z];
+          StageSlot(plain, true, id, leaf, value);
+        } else {
+          StageSlot(plain, false, 0, 0, dummy_payload);
+        }
+      });
   DPSTORE_CHECK_OK(server_->SetArray(std::move(array)));
 
   // Recursive position map: pack `posmap_pack_` leaves per child block and
@@ -107,40 +108,13 @@ uint64_t PathOram::BucketIndex(uint64_t leaf, uint64_t level) const {
   return ((uint64_t{1} << level) - 1) + (leaf >> (height - level));
 }
 
-void PathOram::EncodeSlotInto(MutableBlockView slot, bool occupied,
-                              BlockId id, uint64_t leaf,
-                              BlockView value) const {
+void PathOram::StageSlot(MutableBlockView plain, bool occupied, BlockId id,
+                         uint64_t leaf, BlockView value) const {
   DPSTORE_CHECK_EQ(value.size(), options_.block_size);
-  uint8_t* plain = slot.data() + crypto::Cipher::PlaintextOffset();
   plain[0] = occupied ? 1 : 0;
-  std::memcpy(plain + 1, &id, 8);
-  std::memcpy(plain + 9, &leaf, 8);
-  CopyBytes(plain + kSlotHeader, value.data(), value.size());
-  cipher_.EncryptInPlace(slot);
-}
-
-Block PathOram::EncodeSlot(bool occupied, BlockId id, uint64_t leaf,
-                           const Block& value) const {
-  Block slot(crypto::Cipher::CiphertextSize(kSlotHeader +
-                                            options_.block_size));
-  EncodeSlotInto(slot, occupied, id, leaf, value);
-  return slot;
-}
-
-StatusOr<std::tuple<bool, BlockId, uint64_t, BlockView>>
-PathOram::DecodeSlotInPlace(MutableBlockView server_block) const {
-  DPSTORE_ASSIGN_OR_RETURN(MutableBlockView plain,
-                           cipher_.DecryptInPlace(server_block));
-  if (plain.size() != kSlotHeader + options_.block_size) {
-    return DataLossError("PathOram slot has wrong size");
-  }
-  bool occupied = plain[0] != 0;
-  BlockId id;
-  uint64_t leaf;
-  std::memcpy(&id, plain.data() + 1, 8);
-  std::memcpy(&leaf, plain.data() + 9, 8);
-  BlockView value = plain.subspan(kSlotHeader);
-  return std::make_tuple(occupied, id, leaf, value);
+  std::memcpy(plain.data() + 1, &id, 8);
+  std::memcpy(plain.data() + 9, &leaf, 8);
+  CopyBytes(plain.data() + kSlotHeader, value.data(), value.size());
 }
 
 StatusOr<uint64_t> PathOram::PosMapGetAndSetDerived(
@@ -179,22 +153,30 @@ StatusOr<std::optional<PathOram::StashEntry>> PathOram::ReadPath(
       slots.push_back(bucket * options_.bucket_capacity + z);
     }
   }
-  // The whole path lands in ONE flat reply buffer; slots are decrypted in
-  // place there, and only the occupied blocks are copied out into the
-  // stash (which owns its entries).
+  // The whole path lands in ONE flat reply buffer and is decrypted there
+  // in one batch; only the occupied blocks are copied out into the stash
+  // (which owns its entries).
   DPSTORE_ASSIGN_OR_RETURN(
       StorageReply reply,
       server_->Exchange(StorageRequest::DownloadOf(std::move(slots))));
+  if (reply.blocks.block_size() !=
+      crypto::Cipher::CiphertextSize(kSlotHeader + options_.block_size)) {
+    return DataLossError("PathOram slot has wrong size");
+  }
+  DPSTORE_RETURN_IF_ERROR(cipher_.DecryptBatch(reply.blocks));
   std::optional<StashEntry> target;
   for (size_t k = 0; k < reply.blocks.size(); ++k) {
-    DPSTORE_ASSIGN_OR_RETURN(auto decoded,
-                             DecodeSlotInPlace(reply.blocks.Mutable(k)));
-    auto& [occupied, slot_id, slot_leaf, value] = decoded;
-    if (!occupied) continue;
+    const BlockView plain = crypto::Cipher::Body(reply.blocks[k]);
+    if (plain[0] == 0) continue;  // dummy slot
+    BlockId slot_id;
+    uint64_t slot_leaf;
+    std::memcpy(&slot_id, plain.data() + 1, 8);
+    std::memcpy(&slot_leaf, plain.data() + 9, 8);
+    StashEntry entry{slot_leaf, ToBlock(plain.subspan(kSlotHeader))};
     if (slot_id == id) {
-      target = StashEntry{slot_leaf, ToBlock(value)};
+      target = std::move(entry);
     } else {
-      stash_[slot_id] = StashEntry{slot_leaf, ToBlock(value)};
+      stash_[slot_id] = std::move(entry);
     }
   }
   stash_peak_ = std::max(stash_peak_, stash_.size());
@@ -203,10 +185,11 @@ StatusOr<std::optional<PathOram::StashEntry>> PathOram::ReadPath(
 
 Status PathOram::WritePath(uint64_t leaf) {
   // Greedy eviction: deepest level first, take any stash blocks whose
-  // assigned path shares this bucket. Every slot of the re-encrypted path
-  // is staged and encrypted IN PLACE inside one flat upload payload, which
-  // then travels as one batched fire-and-forget write-back — the Z(L+1)
-  // slot ciphertexts never exist as individual vectors.
+  // assigned path shares this bucket. Every slot of the path is staged
+  // inside one flat upload payload and the whole payload is encrypted in
+  // place in one batch, then travels as one batched fire-and-forget
+  // write-back — the Z(L+1) slot ciphertexts never exist as individual
+  // vectors.
   const size_t path_slots = levels_ * options_.bucket_capacity;
   std::vector<BlockId> slots;
   slots.reserve(path_slots);
@@ -229,15 +212,16 @@ Status PathOram::WritePath(uint64_t leaf) {
     }
     for (uint64_t z = 0; z < options_.bucket_capacity; ++z) {
       slots.push_back(bucket * options_.bucket_capacity + z);
-      MutableBlockView slot = encoded.Mutable(cursor++);
+      MutableBlockView plain = crypto::Cipher::Body(encoded.Mutable(cursor++));
       if (z < chosen.size()) {
-        EncodeSlotInto(slot, true, chosen[z].first, chosen[z].second.leaf,
-                       chosen[z].second.value);
+        StageSlot(plain, true, chosen[z].first, chosen[z].second.leaf,
+                  chosen[z].second.value);
       } else {
-        EncodeSlotInto(slot, false, 0, 0, dummy_payload);
+        StageSlot(plain, false, 0, 0, dummy_payload);
       }
     }
   }
+  cipher_.EncryptBatch(encoded);
   return server_
       ->Exchange(
           StorageRequest::UploadOf(std::move(slots), std::move(encoded)))

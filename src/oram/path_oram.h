@@ -123,24 +123,13 @@ class PathOram : public RamScheme {
   StatusOr<std::optional<StashEntry>> ReadPath(uint64_t leaf, BlockId id);
   Status WritePath(uint64_t leaf);
 
-  /// Stages the plaintext slot layout (flag | id | leaf | value) directly
-  /// into `slot` — a ciphertext-sized view into the upload payload — and
-  /// encrypts it in place: the eviction path is written without a single
-  /// per-slot vector.
-  void EncodeSlotInto(MutableBlockView slot, bool occupied, BlockId id,
-                      uint64_t leaf, BlockView value) const;
-  /// Setup-path convenience over EncodeSlotInto (allocates the Block).
-  Block EncodeSlot(bool occupied, BlockId id, uint64_t leaf,
-                   const Block& value) const;
-
-  /// Decodes a slot IN PLACE inside the reply buffer: decrypts the view and
-  /// returns (occupied, id, leaf, value_view). The value view aliases
-  /// `server_block` — copy it (the stash owns its blocks) before the reply
-  /// buffer dies. Slots carry their block's current leaf so eviction works
-  /// without position-map lookups (required once the position map is
-  /// recursive).
-  StatusOr<std::tuple<bool, BlockId, uint64_t, BlockView>> DecodeSlotInPlace(
-      MutableBlockView server_block) const;
+  /// Writes the plaintext slot layout (flag | id | leaf | value) into
+  /// `plain`, the body of a ciphertext-sized slot (Cipher::Body) inside
+  /// the payload that is then encrypted in one batch. Slots carry their
+  /// block's current leaf so eviction works without position-map lookups
+  /// (required once the position map is recursive).
+  void StageSlot(MutableBlockView plain, bool occupied, BlockId id,
+                 uint64_t leaf, BlockView value) const;
 
   uint64_t n_;
   PathOramOptions options_;

@@ -18,6 +18,13 @@
 ///   - CopyRuns:       a batch of disjoint memcpy runs (the engine's
 ///     run-coalesced gather/scatter).
 ///
+/// One more primitive lives with the cipher it serves but dispatches
+/// through ActiveVariant() below: crypto/chacha20.h ChaCha20Blocks, N
+/// independent ChaCha20 keystream blocks from N (key, nonce, counter)
+/// lanes, 8 lanes per AVX2 pass (scalar rounds for the SSE2 and scalar
+/// tiers and for the N mod 8 remainder). The cipher batches and the DPF
+/// level expansion run on it.
+///
 /// Each primitive has portable-scalar, SSE2 and AVX2 implementations
 /// compiled with per-function target attributes in one translation unit;
 /// the best variant the CPU supports is chosen once at startup and can be

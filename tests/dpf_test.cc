@@ -121,6 +121,28 @@ TEST(DpfTest, EvalPointAgreesWithEvalFull) {
   }
 }
 
+TEST(DpfTest, EvalFullEqualsEvalPointAtEveryPointDepths9To14) {
+  // EvalFull expands each tree level and converts the leaves in lane
+  // groups of 8 nodes; at these depths the early levels hold fewer than 8
+  // nodes (the scalar remainder) and the late ones several full groups.
+  // Every point must agree with the one-block-at-a-time point walk.
+  Rng rng(109);
+  for (uint8_t depth = 9; depth <= 14; ++depth) {
+    const uint64_t n = uint64_t{1} << depth;
+    auto keys = DpfGen(rng.Uniform(n), depth);
+    ASSERT_TRUE(keys.ok());
+    for (const DpfKey* key : {&keys->key0, &keys->key1}) {
+      const std::vector<uint64_t> full = DpfEvalFull(*key);
+      uint64_t mismatches = 0;
+      for (uint64_t x = 0; x < n; ++x) {
+        mismatches += DpfEvalPoint(*key, x) != BitAt(full, x);
+      }
+      EXPECT_EQ(mismatches, 0u) << "depth=" << unsigned{depth}
+                                << " party=" << unsigned{key->party};
+    }
+  }
+}
+
 TEST(DpfTest, EachPartyEvaluationLooksBalanced) {
   // A single key's bit vector is pseudorandom (each party's share alone
   // carries no information about alpha): at depth 16 the popcount should
