@@ -19,11 +19,9 @@
 #include "pir/dpf_pir.h"
 #include "pir/trivial_pir.h"
 #include "pir/xor_pir.h"
-#include "storage/async_sharded_backend.h"
 #include "storage/cluster.h"
 #include "storage/fusing_backend.h"
 #include "storage/retrying_backend.h"
-#include "storage/sharded_backend.h"
 #include "storage/socket_backend.h"
 #include "storage/write_back_cache.h"
 
@@ -239,15 +237,12 @@ StatusOr<BackendFactory> BackendFactoryFor(const SchemeConfig& config) {
   if (config.backend == "memory") {
     return MemoryBackendFactory(config.counting_only_transcript);
   }
-  if (config.backend == "sharded" || config.backend == "async_sharded") {
+  if (config.backend == "sharded") {
     if (config.shards == 0) {
       return InvalidArgumentError("sharded backend needs shards >= 1");
     }
-    return config.backend == "sharded"
-               ? ShardedBackendFactory(config.shards,
-                                       config.counting_only_transcript)
-               : AsyncShardedBackendFactory(config.shards,
-                                            config.counting_only_transcript);
+    return ShardedBackendFactory(config.shards,
+                                 config.counting_only_transcript);
   }
   if (config.backend == "cached") {
     if (config.cache_blocks == 0) {
@@ -351,8 +346,7 @@ StatusOr<BackendFactory> BackendFactoryFor(const SchemeConfig& config) {
   }
   return NotFoundError(
       "unknown backend '" + config.backend +
-      "' (known: memory, sharded, async_sharded, cached, fused, socket, "
-      "cluster, retry)");
+      "' (known: memory, sharded, cached, fused, socket, cluster, retry)");
 }
 
 SchemeRegistry& SchemeRegistry::Instance() {

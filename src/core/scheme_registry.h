@@ -34,9 +34,8 @@ struct SchemeConfig {
   uint64_t seed = 1;
 
   /// Storage topology: "memory" (single in-memory server), "sharded"
-  /// (ShardedBackend over `shards` in-memory shards), "async_sharded"
-  /// (AsyncShardedBackend: the same partition with one worker thread per
-  /// shard, legs genuinely overlapped), "cached" (WriteBackCacheBackend
+  /// (ClusterBackend over `shards` single-slot ranges, each an in-memory
+  /// server; ShardedBackendFactory), "cached" (WriteBackCacheBackend
   /// of `cache_blocks` blocks over an in-memory server), "fused"
   /// (FusingBackend coalescing adjacent same-direction exchanges up to
   /// `fuse_blocks` blocks over an in-memory server), "socket"

@@ -351,6 +351,8 @@ Status ClusterBackend::SetArray(std::vector<Block> blocks) {
       return InvalidArgumentError("SetArray: block size mismatch");
     }
   }
+  // The last consumer of every block takes it by move: a range's last
+  // member when no spare follows, else the last spare (the whole array).
   for (size_t r = 0; r < members_.size(); ++r) {
     auto [lo_block, hi_block] = RangeBlocks(r);
     if (hi_block == lo_block) continue;
@@ -358,9 +360,15 @@ Status ClusterBackend::SetArray(std::vector<Block> blocks) {
       return UnavailableError("SetArray: range " + std::to_string(r) +
                               " has no live members");
     }
-    for (size_t node : members_[r]) {
-      std::vector<Block> chunk(blocks.begin() + lo_block,
-                               blocks.begin() + hi_block);
+    for (size_t m = 0; m < members_[r].size(); ++m) {
+      const size_t node = members_[r][m];
+      const auto lo = blocks.begin() + lo_block;
+      const auto hi = blocks.begin() + hi_block;
+      std::vector<Block> chunk =
+          spares_.empty() && m + 1 == members_[r].size()
+              ? std::vector<Block>(std::make_move_iterator(lo),
+                                   std::make_move_iterator(hi))
+              : std::vector<Block>(lo, hi);
       if (leg_base_[node] != lo_block) {
         // Full-size leg (a spare adopted into this range): place the chunk
         // via an unrecorded upload at global addresses, leaving the rest of
@@ -379,9 +387,10 @@ Status ClusterBackend::SetArray(std::vector<Block> blocks) {
       }
     }
   }
-  for (size_t node : spares_) {
-    std::vector<Block> copy = blocks;
-    DPSTORE_RETURN_IF_ERROR(legs_[node]->SetArray(std::move(copy)));
+  for (size_t k = 0; k < spares_.size(); ++k) {
+    std::vector<Block> copy =
+        k + 1 == spares_.size() ? std::move(blocks) : blocks;
+    DPSTORE_RETURN_IF_ERROR(legs_[spares_[k]]->SetArray(std::move(copy)));
   }
   return OkStatus();
 }
@@ -406,12 +415,13 @@ void ClusterBackend::SubmitLeg(Flight& flight, size_t node,
 }
 
 Ticket ClusterBackend::Submit(StorageRequest request) {
+  if (request.op != StorageRequest::Op::kDpfEval && request.IsNoOp()) {
+    // Free by contract: no RPC, no fault roll, no transcript event.
+    return ParkImmediate(OkStatus());
+  }
   Status status = ValidateRequest(request, n_, block_size_);
   if (status.ok()) status = faults_.MaybeInject();
   if (!status.ok()) return ParkImmediate(std::move(status));
-  if (request.op != StorageRequest::Op::kDpfEval && request.IsNoOp()) {
-    return ParkImmediate(OkStatus());  // free by contract: no RPC at all
-  }
 
   const uint64_t deadline_ms =
       request.deadline_ms != 0 ? request.deadline_ms : options_.leg_deadline_ms;
@@ -538,7 +548,8 @@ Ticket ClusterBackend::Submit(StorageRequest request) {
 StatusOr<StorageReply> ClusterBackend::Wait(Ticket ticket) {
   auto it = flights_.find(ticket);
   if (it == flights_.end()) {
-    return NotFoundError("unknown or already-waited ticket");
+    return InvalidArgumentError("Wait: unknown or already-consumed ticket " +
+                                std::to_string(ticket));
   }
   Flight flight = std::move(it->second);
   flights_.erase(it);
@@ -709,8 +720,8 @@ void ClusterBackend::CorruptBlock(BlockId index) {
 }
 
 void ClusterBackend::SetFailureRate(double rate, uint64_t seed) {
-  // One roll at this level per exchange (see ShardedBackend): injecting
-  // into individual legs would half-apply spanning exchanges.
+  // Deliberately NOT forwarded to the legs: see the header for why one
+  // roll per exchange at this level is what keeps exchanges atomic.
   faults_.Set(rate, seed);
 }
 
@@ -842,6 +853,29 @@ BackendFactory ClusterBackendFactory(ClusterConfig config,
     if (counting_only) backend->SetTranscriptCountingOnly(true);
     return std::unique_ptr<StorageBackend>(std::move(backend));
   };
+}
+
+BackendFactory ShardedBackendFactory(uint64_t num_shards, bool counting_only) {
+  DPSTORE_CHECK_GT(num_shards, 0u);
+  // K single-slot ranges, one node each. The leg factory builds every leg
+  // in memory, so the generated unix: endpoints are names, never dialed.
+  std::string text = "slots ";
+  text.append(std::to_string(num_shards)).append("\n");
+  for (uint64_t s = 0; s < num_shards; ++s) {
+    std::string name = "shard";
+    name.append(std::to_string(s));
+    text.append("node ").append(name).append(" unix:").append(name);
+    text.append("\nrange ").append(std::to_string(s)).append(" ");
+    text.append(std::to_string(s + 1)).append(" ").append(name).append("\n");
+  }
+  StatusOr<ClusterConfig> config = ClusterConfig::Parse(text);
+  DPSTORE_CHECK_OK(config.status());
+  ClusterBackendOptions options;
+  options.leg_factory = [memory = MemoryBackendFactory(counting_only)](
+                            size_t, const ClusterNode&, uint64_t n,
+                            size_t block_size) { return memory(n, block_size); };
+  return ClusterBackendFactory(*std::move(config), std::move(options),
+                               counting_only);
 }
 
 }  // namespace dpstore

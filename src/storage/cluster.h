@@ -8,11 +8,12 @@
 /// the slot space into contiguous shard ranges with optional replica
 /// groups, and may hold warm spares. ClusterBackend reads that config and
 /// fans every storage exchange out over per-node transport legs
-/// (SocketBackend against real dpstore_server processes by default): async
-/// submit to all touched legs, gather / XOR at Wait, per-leg deadlines,
-/// and failover to a surviving replica or a configured spare when a node
-/// dies — reusing the PR 9 failure semantics (a dead leg fails the whole
-/// exchange atomically at Wait; nothing is recorded, nothing half-applies).
+/// (SocketBackend against real dpstore_server processes by default, or any
+/// backend a leg factory builds — the `sharded` topology is K in-memory
+/// legs): async submit to all touched legs, gather / XOR at Wait, per-leg
+/// deadlines, and failover to a surviving replica or a configured spare
+/// when a node dies (a dead leg fails the whole exchange atomically at
+/// Wait; nothing is recorded, nothing half-applies).
 ///
 /// The normative description of the config format, the routing and
 /// failover semantics, and the rebalance cost model is docs/cluster.md.
@@ -82,9 +83,9 @@ class ClusterConfig {
   static StatusOr<ClusterConfig> ParseFile(const std::string& path);
 
   /// Number of routing slots the ranges tile. Block addresses map onto
-  /// slots uniformly: rows_per_slot = max(ceil(n / slots), 1), the exact
-  /// ShardRouter geometry, so a cluster of single-slot ranges routes
-  /// bit-identically to a ShardedBackend with slots shards.
+  /// slots uniformly: rows_per_slot = max(ceil(n / slots), 1); slot s
+  /// holds blocks [s * rows_per_slot, (s + 1) * rows_per_slot) clipped to
+  /// n, so trailing slots are empty when slots > n.
   uint64_t slots() const { return slots_; }
   const std::vector<ClusterNode>& nodes() const { return nodes_; }
   /// Ranges sorted by lo, tiling [0, slots()) with no gaps or overlaps.
@@ -118,9 +119,10 @@ struct ClusterBackendOptions {
   uint64_t namespace_base = 0;
   /// Decorrelates leg reconnect backoff jitter.
   uint64_t reconnect_seed = 42;
-  /// Test seam: builds the transport leg for `node` with an
-  /// `n` x `block_size` arena. Null = real SocketBackend per the node's
-  /// endpoint. In-memory legs make the routing/failover logic unit-testable
+  /// Builds the transport leg for `node` with an `n` x `block_size` arena.
+  /// Null = real SocketBackend per the node's endpoint, which is then the
+  /// only place endpoints are dialed. ShardedBackendFactory plugs in
+  /// in-memory legs here; the tests do too, to drive routing and failover
   /// without processes.
   std::function<std::unique_ptr<StorageBackend>(
       size_t node_index, const ClusterNode& node, uint64_t n,
@@ -138,25 +140,24 @@ struct ClusterBackendOptions {
 /// spares hold full-size arenas (local = global) so any spare can adopt
 /// any range.
 ///
-/// Exchange fan-out (the AsyncShardedBackend discipline, legs being
-/// genuinely asynchronous SocketBackends): Submit validates, rolls the
-/// fault injector once, partitions the exchange and submits every leg
-/// without blocking; Wait gathers the legs, reassembles the reply in
-/// request order (downloads), XORs per-range answers (kDpfEval), and only
-/// then records the global transcript — one roundtrip per download/eval
-/// exchange, zero for uploads, events in submission order. The adversary's
-/// view is therefore bit-identical to the single-process `memory` backend
-/// for every scheme, on every topology (cluster_test proves this as an
-/// equivalence matrix).
+/// Exchange fan-out: Submit validates, rolls the fault injector once,
+/// partitions the exchange and submits every leg without blocking (socket
+/// legs genuinely overlap; in-memory legs run at Submit); Wait gathers the
+/// legs, reassembles the reply in request order (downloads), XORs
+/// per-range answers (kDpfEval), and only then records the global
+/// transcript — one roundtrip per download/eval exchange, zero for
+/// uploads, events in submission order. The adversary's view is therefore
+/// bit-identical to the single-process `memory` backend for every scheme,
+/// on every topology (cluster_test proves this as an equivalence matrix).
 ///
 /// Replication: uploads mirror to every member of a touched range AND to
 /// every remaining spare (warm standby); downloads and evals go to
 /// primaries only, so replication costs upload bandwidth, not roundtrips.
 ///
 /// Failover: a leg failing Wait with Unavailable or DeadlineExceeded fails
-/// the exchange atomically (nothing recorded, PR 9 semantics) and marks
-/// the node dead: each range it served drops it, promoting the next member
-/// to primary, or — when the group empties — adopting a warm spare. The
+/// the exchange atomically (nothing recorded) and marks the node dead:
+/// each range it served drops it, promoting the next member to primary,
+/// or — when the group empties — adopting a warm spare. The
 /// reconfiguration is appended to failover_log() and one
 /// "dpstore_cluster:" line goes to stderr. Subsequent exchanges route
 /// around the dead node; a range with no members left fails exchanges
@@ -230,10 +231,16 @@ class ClusterBackend : public StorageBackend {
   /// docs/cluster.md).
   void CorruptBlock(BlockId index) override;
 
-  /// One Bernoulli roll per exchange at Submit, before any leg is
-  /// submitted (see ShardedBackend::SetFailureRate for why the legs stay
-  /// fault-free: a mid-fan-out inner failure would half-apply a spanning
-  /// exchange).
+  /// Fault injection lives at THIS level, not in the legs: one Bernoulli
+  /// roll per exchange at Submit, before any leg is submitted, so a batched
+  /// exchange spanning ranges fails as a unit (the StorageBackend atomicity
+  /// contract). Were each leg to roll its own fault, a spanning upload
+  /// could apply range 0's blocks and then fail range 1's, leaving a
+  /// half-written bucket that the schemes' rollback discipline (which
+  /// assumes nothing reached storage on error) would silently serve back
+  /// corrupted. So do not inject faults into individual legs via leg(i)
+  /// while schemes drive this backend; tests that do so are exercising
+  /// failover, not scheme atomicity.
   void SetFailureRate(double rate, uint64_t seed = 7) override;
 
   /// Sum over completed exchanges of (gathered - submitted) plus the
@@ -331,6 +338,15 @@ class ClusterBackend : public StorageBackend {
 /// replicas) never share a leg namespace.
 BackendFactory ClusterBackendFactory(ClusterConfig config,
                                      ClusterBackendOptions options = {},
+                                     bool counting_only = false);
+
+/// BackendFactory for the `sharded` topology: a ClusterBackend over
+/// `num_shards` single-slot ranges, one in-memory StorageServer leg each
+/// and no spares, so shard s holds blocks [s * ceil(n/K), (s+1) * ceil(n/K))
+/// clipped to n (trailing shards are empty, and get no leg, when K > n).
+/// Counting-only transcripts on request, as in MemoryBackendFactory.
+/// Requires num_shards >= 1.
+BackendFactory ShardedBackendFactory(uint64_t num_shards,
                                      bool counting_only = false);
 
 }  // namespace dpstore

@@ -263,8 +263,8 @@ StatusOr<StorageReply> SocketBackend::Wait(Ticket ticket) {
   // `it` is still valid: parking only erases abandoned flights.
   std::unique_ptr<InFlight> flight = std::move(it->second);
   in_flight_.erase(it);
-  // Transcript recording happens at Wait, atomically per exchange (the
-  // AsyncShardedBackend discipline): awaited in submission order — which
+  // Transcript recording happens at Wait, atomically per exchange (as in
+  // ClusterBackend): awaited in submission order — which
   // every scheme's narrow calls guarantee — the adversary's view is
   // bit-identical to the in-memory backend's.
   if (flight->record && flight->reply.ok()) {

@@ -84,8 +84,8 @@ struct SocketBackendOptions {
 /// readable, so a peer that closed meanwhile is redialed, not written to.
 ///
 /// Wait records the transcript exactly as the in-memory backend would
-/// (events at Wait, in submission order — the AsyncShardedBackend
-/// discipline, so the adversary's view is bit-identical to `memory` when
+/// (events at Wait, in submission order — the discipline ClusterBackend
+/// shares, so the adversary's view is bit-identical to `memory` when
 /// exchanges are awaited in submission order, which every scheme's narrow
 /// calls do), and accumulates MEASURED wall-clock per exchange, from
 /// Submit until its reply was read, alongside the modeled CostModel axes

@@ -1,8 +1,9 @@
-// Tests for the threaded sharded backend and the pipelined exchange
-// surface: async-vs-sync transcript equivalence across shard counts,
-// bit-identical scheme results and TransportStats on every registered
-// scheme, exchange atomicity under injected faults, and pipeline-depth
-// invariance of replayed data.
+// Tests for the pipelined exchange surface on the `sharded` topology (a
+// ClusterBackend over K in-memory legs): transcript equivalence with the
+// single in-memory server across shard counts, many tickets in flight,
+// single-use tickets, exchange atomicity under injected faults, bit-identical
+// scheme results and TransportStats on every registered scheme, and
+// pipeline-depth invariance of replayed data.
 #include <memory>
 #include <string>
 #include <vector>
@@ -12,9 +13,8 @@
 #include "analysis/driver.h"
 #include "analysis/workload.h"
 #include "core/scheme_registry.h"
-#include "storage/async_sharded_backend.h"
+#include "storage/cluster.h"
 #include "storage/server.h"
-#include "storage/sharded_backend.h"
 
 namespace dpstore {
 namespace {
@@ -25,23 +25,32 @@ std::vector<Block> MakeDatabase(uint64_t n, size_t block_size) {
   return db;
 }
 
-// --- Async vs sync equivalence ----------------------------------------------
+/// The `sharded` topology as the registry builds it.
+std::unique_ptr<ClusterBackend> MakeSharded(uint64_t n, size_t block_size,
+                                            uint64_t shards) {
+  std::unique_ptr<StorageBackend> backend =
+      ShardedBackendFactory(shards)(n, block_size);
+  return std::unique_ptr<ClusterBackend>(
+      static_cast<ClusterBackend*>(backend.release()));
+}
 
-TEST(AsyncShardedBackendTest, MatchesSyncShardedAcrossShardCounts) {
+// --- Sharded vs memory equivalence -------------------------------------------
+
+TEST(ShardedExchangeTest, MatchesMemoryAcrossShardCounts) {
   constexpr uint64_t kN = 10;
   // Includes the non-divisible cases (3, 7) and K > n (13).
   for (uint64_t shards : {1u, 2u, 3u, 4u, 7u, 10u, 13u}) {
     SCOPED_TRACE("shards=" + std::to_string(shards));
-    ShardedBackend sync(kN, 8, shards);
-    AsyncShardedBackend async(kN, 8, shards);
-    ASSERT_TRUE(sync.SetArray(MakeDatabase(kN, 8)).ok());
-    ASSERT_TRUE(async.SetArray(MakeDatabase(kN, 8)).ok());
-    ASSERT_EQ(async.num_shards(), shards);
+    StorageServer memory(kN, 8);
+    std::unique_ptr<ClusterBackend> sharded = MakeSharded(kN, 8, shards);
+    ASSERT_TRUE(memory.SetArray(MakeDatabase(kN, 8)).ok());
+    ASSERT_TRUE(sharded->SetArray(MakeDatabase(kN, 8)).ok());
 
     // The same mixed operation sequence through the classic narrow calls
     // (each is Submit immediately followed by Wait).
-    for (StorageBackend* backend : {static_cast<StorageBackend*>(&sync),
-                                    static_cast<StorageBackend*>(&async)}) {
+    for (StorageBackend* backend :
+         {static_cast<StorageBackend*>(&memory),
+          static_cast<StorageBackend*>(sharded.get())}) {
       backend->BeginQuery();
       ASSERT_TRUE(backend->Upload(3, MarkerBlock(103, 8)).ok());
       auto spanning = backend->DownloadMany({9, 0, 4, 3, 0, 8, 2});
@@ -58,41 +67,43 @@ TEST(AsyncShardedBackendTest, MatchesSyncShardedAcrossShardCounts) {
 
     // Bit-identical storage, event-identical global transcripts.
     for (BlockId i = 0; i < kN; ++i) {
-      EXPECT_EQ(async.PeekBlock(i), sync.PeekBlock(i)) << i;
+      EXPECT_EQ(sharded->PeekBlock(i), memory.PeekBlock(i)) << i;
     }
-    EXPECT_EQ(async.transcript().events(), sync.transcript().events());
-    EXPECT_EQ(async.transcript().ToString(), sync.transcript().ToString());
-    EXPECT_EQ(async.roundtrip_count(), sync.roundtrip_count());
-    EXPECT_EQ(async.Stats(), sync.Stats());
-    // And per-shard local views agree leg for leg.
+    EXPECT_EQ(sharded->transcript().events(), memory.transcript().events());
+    EXPECT_EQ(sharded->transcript().ToString(),
+              memory.transcript().ToString());
+    EXPECT_EQ(sharded->roundtrip_count(), memory.roundtrip_count());
+    EXPECT_EQ(sharded->Stats(), memory.Stats());
+    // Each leg saw exactly its own share of the blocks, in local addresses.
+    uint64_t leg_blocks = 0;
     for (uint64_t s = 0; s < shards; ++s) {
-      EXPECT_EQ(async.shard(s).transcript().events(),
-                sync.shard(s).transcript().events())
-          << "shard " << s;
+      if (sharded->leg(s) == nullptr) continue;
+      leg_blocks += sharded->leg(s)->transcript().TotalBlocksMoved();
     }
+    EXPECT_EQ(leg_blocks, memory.transcript().TotalBlocksMoved());
   }
 }
 
-TEST(AsyncShardedBackendTest, DownloadResultsMatchRequestOrderWithDupes) {
+TEST(ShardedExchangeTest, DownloadResultsMatchRequestOrderWithDupes) {
   constexpr uint64_t kN = 12;
-  AsyncShardedBackend backend(kN, 8, 5);
-  ASSERT_TRUE(backend.SetArray(MakeDatabase(kN, 8)).ok());
+  std::unique_ptr<ClusterBackend> backend = MakeSharded(kN, 8, 5);
+  ASSERT_TRUE(backend->SetArray(MakeDatabase(kN, 8)).ok());
   const std::vector<BlockId> indices = {11, 0, 5, 5, 3, 11, 7};
-  auto got = backend.DownloadMany(indices);
+  auto got = backend->DownloadMany(indices);
   ASSERT_TRUE(got.ok());
   ASSERT_EQ(got->size(), indices.size());
   for (size_t i = 0; i < indices.size(); ++i) {
     EXPECT_TRUE(IsMarkerBlock((*got)[i], indices[i])) << i;
   }
-  EXPECT_EQ(backend.roundtrip_count(), 1u);
+  EXPECT_EQ(backend->roundtrip_count(), 1u);
 }
 
 // --- Overlapped exchanges ----------------------------------------------------
 
-TEST(AsyncShardedBackendTest, ManyExchangesInFlightResolveCorrectly) {
+TEST(ShardedExchangeTest, ManyExchangesInFlightResolveCorrectly) {
   constexpr uint64_t kN = 64;
-  AsyncShardedBackend backend(kN, 8, 4);
-  ASSERT_TRUE(backend.SetArray(MakeDatabase(kN, 8)).ok());
+  std::unique_ptr<ClusterBackend> backend = MakeSharded(kN, 8, 4);
+  ASSERT_TRUE(backend->SetArray(MakeDatabase(kN, 8)).ok());
 
   // Submit 32 download exchanges before waiting on any.
   std::vector<Ticket> tickets;
@@ -100,11 +111,11 @@ TEST(AsyncShardedBackendTest, ManyExchangesInFlightResolveCorrectly) {
   for (uint64_t q = 0; q < 32; ++q) {
     std::vector<BlockId> indices = {q % kN, (3 * q + 1) % kN, (7 * q) % kN};
     tickets.push_back(
-        backend.Submit(StorageRequest::DownloadOf(indices)));
+        backend->Submit(StorageRequest::DownloadOf(indices)));
     wanted.push_back(std::move(indices));
   }
   for (size_t q = 0; q < tickets.size(); ++q) {
-    auto reply = backend.Wait(tickets[q]);
+    auto reply = backend->Wait(tickets[q]);
     ASSERT_TRUE(reply.ok()) << q;
     ASSERT_EQ(reply->blocks.size(), wanted[q].size());
     for (size_t i = 0; i < wanted[q].size(); ++i) {
@@ -112,54 +123,63 @@ TEST(AsyncShardedBackendTest, ManyExchangesInFlightResolveCorrectly) {
     }
   }
   // 32 exchanges, one roundtrip each, all events recorded.
-  EXPECT_EQ(backend.roundtrip_count(), 32u);
-  EXPECT_EQ(backend.download_count(), 96u);
+  EXPECT_EQ(backend->roundtrip_count(), 32u);
+  EXPECT_EQ(backend->download_count(), 96u);
 }
 
-TEST(AsyncShardedBackendTest, TicketsAreSingleUse) {
-  AsyncShardedBackend backend(8, 8, 2);
-  Ticket t = backend.Submit(StorageRequest::DownloadOf({1}));
-  ASSERT_TRUE(backend.Wait(t).ok());
-  EXPECT_EQ(backend.Wait(t).status().code(), StatusCode::kInvalidArgument);
-  EXPECT_EQ(backend.Wait(9999).status().code(), StatusCode::kInvalidArgument);
+TEST(ShardedExchangeTest, TicketsAreSingleUse) {
+  std::unique_ptr<ClusterBackend> backend = MakeSharded(8, 8, 2);
+  Ticket t = backend->Submit(StorageRequest::DownloadOf({1}));
+  ASSERT_TRUE(backend->Wait(t).ok());
+  EXPECT_EQ(backend->Wait(t).status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(backend->Wait(9999).status().code(),
+            StatusCode::kInvalidArgument);
 }
 
 // --- Fault atomicity ---------------------------------------------------------
 
-TEST(AsyncShardedBackendTest, InjectedFaultsFailSpanningExchangesAtomically) {
+TEST(ShardedExchangeTest, InjectedFaultsFailSpanningExchangesAtomically) {
   constexpr uint64_t kN = 6;
-  AsyncShardedBackend backend(kN, 8, 2);
-  ASSERT_TRUE(backend.SetArray(MakeDatabase(kN, 8)).ok());
-  backend.SetFailureRate(1.0);
-  EXPECT_EQ(backend.Download(0).status().code(), StatusCode::kUnavailable);
-  EXPECT_EQ(backend.DownloadMany({0, 5}).status().code(),
+  std::unique_ptr<ClusterBackend> backend = MakeSharded(kN, 8, 2);
+  ASSERT_TRUE(backend->SetArray(MakeDatabase(kN, 8)).ok());
+  backend->SetFailureRate(1.0);
+  // Several spanning exchanges in flight at once: each one's fault is
+  // rolled at Submit, before any of its legs is submitted, and surfaces
+  // at its own Wait.
+  Ticket download = backend->Submit(StorageRequest::DownloadOf({0, 5}));
+  Ticket upload = backend->Submit(
+      StorageRequest::UploadOf({0, 5}, {ZeroBlock(8), ZeroBlock(8)}));
+  Ticket single = backend->Submit(StorageRequest::DownloadOf({0}));
+  EXPECT_EQ(backend->Wait(upload).status().code(), StatusCode::kUnavailable);
+  EXPECT_EQ(backend->Wait(download).status().code(),
             StatusCode::kUnavailable);
-  // A failed spanning write-back must leave EVERY shard untouched: the
-  // fault is rolled once per exchange at Submit, never mid-fan-out.
-  EXPECT_EQ(backend.UploadMany({0, 5}, {ZeroBlock(8), ZeroBlock(8)}).code(),
-            StatusCode::kUnavailable);
+  EXPECT_EQ(backend->Wait(single).status().code(), StatusCode::kUnavailable);
+  // A failed spanning write-back must leave EVERY shard untouched.
   for (BlockId i = 0; i < kN; ++i) {
-    EXPECT_TRUE(IsMarkerBlock(backend.PeekBlock(i), i)) << i;
+    EXPECT_TRUE(IsMarkerBlock(backend->PeekBlock(i), i)) << i;
   }
-  EXPECT_EQ(backend.transcript().TotalBlocksMoved(), 0u);
-  backend.SetFailureRate(0.0);
-  EXPECT_TRUE(backend.Download(0).ok());
+  EXPECT_EQ(backend->transcript().TotalBlocksMoved(), 0u);
+  EXPECT_EQ(backend->leg(0)->transcript().TotalBlocksMoved(), 0u);
+  EXPECT_EQ(backend->leg(1)->transcript().TotalBlocksMoved(), 0u);
+  backend->SetFailureRate(0.0);
+  EXPECT_TRUE(backend->Download(0).ok());
 }
 
-TEST(AsyncShardedBackendTest, ValidationErrorsSurfaceAtWait) {
-  AsyncShardedBackend backend(4, 8, 2);
-  Ticket bad_index = backend.Submit(StorageRequest::DownloadOf({0, 9}));
-  EXPECT_EQ(backend.Wait(bad_index).status().code(), StatusCode::kOutOfRange);
+TEST(ShardedExchangeTest, ValidationErrorsSurfaceAtWait) {
+  std::unique_ptr<ClusterBackend> backend = MakeSharded(4, 8, 2);
+  Ticket bad_index = backend->Submit(StorageRequest::DownloadOf({0, 9}));
+  EXPECT_EQ(backend->Wait(bad_index).status().code(),
+            StatusCode::kOutOfRange);
   Ticket bad_size =
-      backend.Submit(StorageRequest::UploadOf({0}, {ZeroBlock(7)}));
-  EXPECT_EQ(backend.Wait(bad_size).status().code(),
+      backend->Submit(StorageRequest::UploadOf({0}, {ZeroBlock(7)}));
+  EXPECT_EQ(backend->Wait(bad_size).status().code(),
             StatusCode::kInvalidArgument);
-  EXPECT_EQ(backend.transcript().TotalBlocksMoved(), 0u);
+  EXPECT_EQ(backend->transcript().TotalBlocksMoved(), 0u);
 }
 
 // --- Scheme-level equivalence (the api_redesign acceptance bar) -------------
 
-TEST(AsyncBackendSchemeTest, EveryRamSchemeBitIdenticalToSyncSharded) {
+TEST(ShardedSchemeTest, EveryRamSchemeBitIdenticalToMemory) {
   constexpr uint64_t kN = 64;
   for (uint64_t shards : {1u, 3u, 4u}) {
     for (const std::string& name :
@@ -171,12 +191,12 @@ TEST(AsyncBackendSchemeTest, EveryRamSchemeBitIdenticalToSyncSharded) {
       config.seed = 20260728;
       config.shards = shards;
 
+      config.backend = "memory";
+      auto memory = SchemeRegistry::Instance().MakeRam(name, config);
+      ASSERT_TRUE(memory.ok()) << memory.status();
       config.backend = "sharded";
-      auto sync = SchemeRegistry::Instance().MakeRam(name, config);
-      ASSERT_TRUE(sync.ok()) << sync.status();
-      config.backend = "async_sharded";
-      auto async = SchemeRegistry::Instance().MakeRam(name, config);
-      ASSERT_TRUE(async.ok()) << async.status();
+      auto sharded = SchemeRegistry::Instance().MakeRam(name, config);
+      ASSERT_TRUE(sharded.ok()) << sharded.status();
 
       // Same mixed workload against both instances: every reply must be
       // bit-identical (schemes draw their coins from the seed, never from
@@ -186,27 +206,27 @@ TEST(AsyncBackendSchemeTest, EveryRamSchemeBitIdenticalToSyncSharded) {
                                       /*write_fraction=*/0.25);
       ASSERT_TRUE(workload.ok());
       for (const RamQuery& query : *workload) {
-        if (query.is_write && (*sync)->SupportsWrite()) {
+        if (query.is_write && (*memory)->SupportsWrite()) {
           Block value = MarkerBlock(1000 + query.index, 32);
-          ASSERT_TRUE((*sync)->QueryWrite(query.index, value).ok());
-          ASSERT_TRUE((*async)->QueryWrite(query.index, value).ok());
+          ASSERT_TRUE((*memory)->QueryWrite(query.index, value).ok());
+          ASSERT_TRUE((*sharded)->QueryWrite(query.index, value).ok());
           continue;
         }
-        auto sync_got = (*sync)->QueryRead(query.index);
-        auto async_got = (*async)->QueryRead(query.index);
-        ASSERT_TRUE(sync_got.ok()) << sync_got.status();
-        ASSERT_TRUE(async_got.ok()) << async_got.status();
-        ASSERT_EQ(sync_got->has_value(), async_got->has_value());
-        if (sync_got->has_value()) {
-          EXPECT_EQ(**sync_got, **async_got);
+        auto memory_got = (*memory)->QueryRead(query.index);
+        auto sharded_got = (*sharded)->QueryRead(query.index);
+        ASSERT_TRUE(memory_got.ok()) << memory_got.status();
+        ASSERT_TRUE(sharded_got.ok()) << sharded_got.status();
+        ASSERT_EQ(memory_got->has_value(), sharded_got->has_value());
+        if (memory_got->has_value()) {
+          EXPECT_EQ(**memory_got, **sharded_got);
         }
       }
-      EXPECT_EQ((*sync)->TransportTotals(), (*async)->TransportTotals());
+      EXPECT_EQ((*memory)->TransportTotals(), (*sharded)->TransportTotals());
     }
   }
 }
 
-TEST(AsyncBackendSchemeTest, EveryKvsSchemeBitIdenticalToSyncSharded) {
+TEST(ShardedSchemeTest, EveryKvsSchemeBitIdenticalToMemory) {
   for (const std::string& name : SchemeRegistry::Instance().KvsSchemeNames()) {
     SCOPED_TRACE(name);
     SchemeConfig config;
@@ -214,12 +234,12 @@ TEST(AsyncBackendSchemeTest, EveryKvsSchemeBitIdenticalToSyncSharded) {
     config.value_size = 32;
     config.seed = 99;
     config.shards = 3;
+    config.backend = "memory";
+    auto memory = SchemeRegistry::Instance().MakeKvs(name, config);
+    ASSERT_TRUE(memory.ok());
     config.backend = "sharded";
-    auto sync = SchemeRegistry::Instance().MakeKvs(name, config);
-    ASSERT_TRUE(sync.ok());
-    config.backend = "async_sharded";
-    auto async = SchemeRegistry::Instance().MakeKvs(name, config);
-    ASSERT_TRUE(async.ok());
+    auto sharded = SchemeRegistry::Instance().MakeKvs(name, config);
+    ASSERT_TRUE(sharded.ok());
 
     Rng rng(5);
     KvsSequence ops = YcsbKvsSequence(&rng, 32, 40, /*read_fraction=*/0.5,
@@ -227,8 +247,8 @@ TEST(AsyncBackendSchemeTest, EveryKvsSchemeBitIdenticalToSyncSharded) {
     for (const KvsOp& op : ops) {
       switch (op.type) {
         case KvsOp::Type::kGet: {
-          auto a = (*sync)->Get(op.key);
-          auto b = (*async)->Get(op.key);
+          auto a = (*memory)->Get(op.key);
+          auto b = (*sharded)->Get(op.key);
           ASSERT_TRUE(a.ok() && b.ok());
           ASSERT_EQ(a->has_value(), b->has_value());
           if (a->has_value()) {
@@ -238,19 +258,19 @@ TEST(AsyncBackendSchemeTest, EveryKvsSchemeBitIdenticalToSyncSharded) {
         }
         case KvsOp::Type::kPut: {
           KvsScheme::Value value = MarkerBlock(op.key, 32);
-          ASSERT_TRUE((*sync)->Put(op.key, value).ok());
-          ASSERT_TRUE((*async)->Put(op.key, value).ok());
+          ASSERT_TRUE((*memory)->Put(op.key, value).ok());
+          ASSERT_TRUE((*sharded)->Put(op.key, value).ok());
           break;
         }
         case KvsOp::Type::kErase:
-          if ((*sync)->SupportsErase()) {
-            ASSERT_TRUE((*sync)->Erase(op.key).ok());
-            ASSERT_TRUE((*async)->Erase(op.key).ok());
+          if ((*memory)->SupportsErase()) {
+            ASSERT_TRUE((*memory)->Erase(op.key).ok());
+            ASSERT_TRUE((*sharded)->Erase(op.key).ok());
           }
           break;
       }
     }
-    EXPECT_EQ((*sync)->TransportTotals(), (*async)->TransportTotals());
+    EXPECT_EQ((*memory)->TransportTotals(), (*sharded)->TransportTotals());
   }
 }
 
@@ -297,8 +317,8 @@ class PipelineReplayTest : public ::testing::Test {
 };
 
 TEST_F(PipelineReplayTest, DepthAndBackendInvariantReplay) {
-  // Reference: the synchronous sharded backend at depth 1.
-  ShardedBackend reference(n_, block_size_, 3);
+  // Reference: the single in-memory server at depth 1.
+  StorageServer reference(n_, block_size_);
   auto ref_report = RunExchangePipeline(&reference, plan_, 1);
   ASSERT_TRUE(ref_report.ok());
   EXPECT_EQ(ref_report->exchanges, plan_.size());
@@ -308,8 +328,9 @@ TEST_F(PipelineReplayTest, DepthAndBackendInvariantReplay) {
     for (uint64_t depth : {1u, 2u, 4u, 8u}) {
       SCOPED_TRACE("shards=" + std::to_string(shards) +
                    " depth=" + std::to_string(depth));
-      AsyncShardedBackend backend(n_, block_size_, shards);
-      auto report = RunExchangePipeline(&backend, plan_, depth);
+      std::unique_ptr<StorageBackend> backend =
+          ShardedBackendFactory(shards)(n_, block_size_);
+      auto report = RunExchangePipeline(backend.get(), plan_, depth);
       ASSERT_TRUE(report.ok()) << report.status();
       // Pipeline depth moves wall-clock only: the replayed data and the
       // transport axes are bit-for-bit depth- and topology-invariant.

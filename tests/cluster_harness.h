@@ -26,8 +26,8 @@ namespace test {
 /// A cluster shape: ranges[r] lists the member node indices of single-slot
 /// range r (primary first); spares lists warm spare node indices. Node
 /// count = highest index referenced + 1. Every range covers exactly one
-/// slot, so slots == ranges.size() and the routing geometry matches a
-/// ShardedBackend with that many shards.
+/// slot, so slots == ranges.size() and the routing geometry matches the
+/// `sharded` topology with that many shards.
 struct ClusterTopology {
   std::vector<std::vector<int>> ranges;
   std::vector<int> spares;

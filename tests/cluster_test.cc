@@ -30,7 +30,6 @@
 #include "crypto/dpf.h"
 #include "storage/cluster.h"
 #include "storage/server.h"
-#include "storage/sharded_backend.h"
 #include "util/random.h"
 
 #include "chaos_proxy.h"
@@ -285,18 +284,18 @@ TEST(ClusterConfigTest, RandomBytesFuzzNeverCrashes) {
 
 // --- Routing over in-memory legs ---------------------------------------------
 
-/// A cluster of single-slot ranges must be observationally identical to a
-/// ShardedBackend with that many shards: same transcript, same modeled
-/// stats, block for block.
-TEST(ClusterRoutingTest, SingleSlotRangesMatchShardedBackend) {
+/// A cluster of single-slot ranges (the `sharded` topology) must be
+/// observationally identical to the single in-memory server: same
+/// transcript, same modeled stats, block for block.
+TEST(ClusterRoutingTest, SingleSlotRangesMatchMemory) {
   InMemoryCluster cluster = MakeInMemoryCluster(test::Topology4x1());
-  ShardedBackend sharded(kN, kBlockSize, 4);
+  StorageServer memory(kN, kBlockSize);
   ASSERT_TRUE(cluster.backend->SetArray(MakeDatabase(kN, kBlockSize)).ok());
-  ASSERT_TRUE(sharded.SetArray(MakeDatabase(kN, kBlockSize)).ok());
+  ASSERT_TRUE(memory.SetArray(MakeDatabase(kN, kBlockSize)).ok());
 
   for (StorageBackend* backend :
        {static_cast<StorageBackend*>(cluster.backend.get()),
-        static_cast<StorageBackend*>(&sharded)}) {
+        static_cast<StorageBackend*>(&memory)}) {
     backend->BeginQuery();
     auto spanning = backend->DownloadMany({5, 17, 42, 63, 0, 17});
     ASSERT_TRUE(spanning.ok()) << spanning.status();
@@ -314,11 +313,11 @@ TEST(ClusterRoutingTest, SingleSlotRangesMatchShardedBackend) {
   }
 
   EXPECT_EQ(cluster.backend->transcript().ToString(),
-            sharded.transcript().ToString());
-  EXPECT_TRUE(cluster.backend->Stats() == sharded.Stats());
+            memory.transcript().ToString());
+  EXPECT_TRUE(cluster.backend->Stats() == memory.Stats());
   EXPECT_EQ(cluster.backend->rows_per_slot(), 16u);
   for (BlockId index : {BlockId{0}, BlockId{15}, BlockId{16}, BlockId{63}}) {
-    EXPECT_EQ(cluster.backend->PeekBlock(index), sharded.PeekBlock(index))
+    EXPECT_EQ(cluster.backend->PeekBlock(index), memory.PeekBlock(index))
         << "block " << index;
   }
   // Read-your-writes across the fan-out.

@@ -15,10 +15,9 @@
 #include "analysis/driver.h"
 #include "analysis/workload.h"
 #include "core/scheme_registry.h"
-#include "storage/async_sharded_backend.h"
+#include "storage/cluster.h"
 #include "storage/fusing_backend.h"
 #include "storage/server.h"
-#include "storage/sharded_backend.h"
 #include "storage/write_back_cache.h"
 
 namespace dpstore {
@@ -206,12 +205,7 @@ struct ReplayResult {
 
 std::unique_ptr<StorageBackend> MakeInner(const std::string& kind, uint64_t n,
                                           size_t block_size) {
-  if (kind == "sharded") {
-    return std::make_unique<ShardedBackend>(n, block_size, 3);
-  }
-  if (kind == "async_sharded") {
-    return std::make_unique<AsyncShardedBackend>(n, block_size, 3);
-  }
+  if (kind == "sharded") return ShardedBackendFactory(3)(n, block_size);
   if (kind == "cached") {
     return std::make_unique<WriteBackCacheBackend>(
         std::make_unique<StorageServer>(n, block_size),
@@ -241,7 +235,7 @@ ReplayResult ReplayThroughFusion(const std::vector<StorageRequest>& plan,
 /// the adversary (and the client) sees must be bit-identical.
 TEST(FusionInvarianceTest, ReplayIsBitIdenticalAcrossBudgetsEverywhere) {
   const uint64_t kBudgets[] = {1, 3, 17, uint64_t{1} << 40};
-  const char* kInners[] = {"memory", "sharded", "async_sharded", "cached"};
+  const char* kInners[] = {"memory", "sharded", "cached"};
 
   int schemes_covered = 0;
   for (const std::string& name :

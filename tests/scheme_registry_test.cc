@@ -32,7 +32,7 @@ SchemeConfig SmallConfig(const std::string& backend) {
 
 const std::vector<std::string>& AllBackends() {
   static const std::vector<std::string> backends = {
-      "memory", "sharded", "async_sharded", "cached"};
+      "memory", "sharded", "cached"};
   return backends;
 }
 
@@ -76,6 +76,9 @@ TEST(SchemeRegistryTest, UnknownNamesRejected) {
                 .MakeRam("dp_ram", bad_backend)
                 .status()
                 .code(),
+            StatusCode::kNotFound);
+  // The threaded sharded variant is gone: `sharded` is the one router.
+  EXPECT_EQ(BackendFactoryFor(SmallConfig("async_sharded")).status().code(),
             StatusCode::kNotFound);
 }
 

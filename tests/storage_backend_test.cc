@@ -1,7 +1,7 @@
 // Tests for the storage transport seam: batched-vs-sequential equivalence,
-// roundtrip accounting, counting-only transcripts, and ShardedBackend
-// correctness across shard counts (including the non-divisible and K > n
-// geometries).
+// roundtrip accounting, counting-only transcripts, and the `sharded`
+// topology (a ClusterBackend over K in-memory legs) across shard counts,
+// including the non-divisible and K > n geometries.
 #include <memory>
 #include <vector>
 
@@ -11,7 +11,7 @@
 #include "storage/backend.h"
 #include "storage/server.h"
 #include "core/scheme_registry.h"
-#include "storage/sharded_backend.h"
+#include "storage/cluster.h"
 
 namespace dpstore {
 namespace {
@@ -179,15 +179,23 @@ TEST(ExchangeApiTest, ErrorsSurfaceAtWaitNotSubmit) {
 }
 
 TEST(ExchangeApiTest, NoOpExchangesAreFree) {
-  StorageServer server(4, 8);
-  server.SetFailureRate(1.0);  // even a dead wire cannot fail a no-op
-  auto download = server.Exchange(StorageRequest::DownloadOf({}));
-  ASSERT_TRUE(download.ok());
-  EXPECT_TRUE(download->blocks.empty());
-  ASSERT_TRUE(
-      server.Exchange(StorageRequest::UploadOf({}, BlockBuffer())).ok());
-  EXPECT_EQ(server.transcript().TotalBlocksMoved(), 0u);
-  EXPECT_EQ(server.roundtrip_count(), 0u);
+  for (const char* name :
+       {"memory", "sharded", "cached", "fused", "socket", "retry"}) {
+    SCOPED_TRACE(name);
+    SchemeConfig config;
+    config.backend = name;
+    auto factory = BackendFactoryFor(config);
+    ASSERT_TRUE(factory.ok()) << factory.status();
+    std::unique_ptr<StorageBackend> backend = (*factory)(4, 8);
+    backend->SetFailureRate(1.0);  // even a dead wire cannot fail a no-op
+    auto download = backend->Exchange(StorageRequest::DownloadOf({}));
+    ASSERT_TRUE(download.ok()) << download.status();
+    EXPECT_TRUE(download->blocks.empty());
+    ASSERT_TRUE(
+        backend->Exchange(StorageRequest::UploadOf({}, BlockBuffer())).ok());
+    EXPECT_EQ(backend->transcript().TotalBlocksMoved(), 0u);
+    EXPECT_EQ(backend->roundtrip_count(), 0u);
+  }
 }
 
 // --- Roundtrip accounting ---------------------------------------------------
@@ -266,129 +274,148 @@ TEST(CountingOnlyTranscriptTest, DisablingStartsCleanSoQuerySlicesStaySound) {
   EXPECT_EQ(t.QueryDownloads(0), (std::vector<BlockId>{5}));
 }
 
-// --- ShardedBackend ---------------------------------------------------------
+// --- Sharded topology --------------------------------------------------------
 
-TEST(ShardedBackendTest, RoutesEveryAddressAcrossShardCounts) {
+/// The `sharded` topology as the registry builds it: a ClusterBackend over
+/// `shards` single-slot ranges with in-memory legs.
+std::unique_ptr<ClusterBackend> MakeSharded(uint64_t n, size_t block_size,
+                                            uint64_t shards) {
+  std::unique_ptr<StorageBackend> backend =
+      ShardedBackendFactory(shards)(n, block_size);
+  return std::unique_ptr<ClusterBackend>(
+      static_cast<ClusterBackend*>(backend.release()));
+}
+
+TEST(ShardedTopologyTest, RoutesEveryAddressAcrossShardCounts) {
   constexpr uint64_t kN = 10;
   // Includes the non-divisible cases (3, 4, 7) and K > n (13).
   for (uint64_t shards : {1u, 2u, 3u, 4u, 7u, 10u, 13u}) {
-    ShardedBackend backend(kN, 8, shards);
-    EXPECT_EQ(backend.n(), kN);
-    EXPECT_EQ(backend.num_shards(), shards);
+    std::unique_ptr<ClusterBackend> backend = MakeSharded(kN, 8, shards);
+    EXPECT_EQ(backend->n(), kN);
+    EXPECT_EQ(backend->config().ranges().size(), shards);
     for (BlockId i = 0; i < kN; ++i) {
-      ASSERT_TRUE(backend.Upload(i, MarkerBlock(i, 8)).ok()) << shards;
+      ASSERT_TRUE(backend->Upload(i, MarkerBlock(i, 8)).ok()) << shards;
     }
+    // Empty trailing shards (K > n) get no leg at all.
     uint64_t total_held = 0;
-    for (uint64_t s = 0; s < shards; ++s) total_held += backend.shard(s).n();
+    for (uint64_t s = 0; s < shards; ++s) {
+      if (backend->leg(s) != nullptr) total_held += backend->leg(s)->n();
+    }
     EXPECT_EQ(total_held, kN) << shards;
     for (BlockId i = 0; i < kN; ++i) {
-      auto got = backend.Download(i);
+      auto got = backend->Download(i);
       ASSERT_TRUE(got.ok()) << shards;
       EXPECT_TRUE(IsMarkerBlock(*got, i)) << "shards=" << shards << " i=" << i;
-      EXPECT_TRUE(IsMarkerBlock(backend.PeekBlock(i), i));
+      EXPECT_TRUE(IsMarkerBlock(backend->PeekBlock(i), i));
     }
-    EXPECT_EQ(backend.Download(kN).status().code(), StatusCode::kOutOfRange);
+    EXPECT_EQ(backend->Download(kN).status().code(), StatusCode::kOutOfRange);
   }
 }
 
-TEST(ShardedBackendTest, SetArraySplitsAcrossShards) {
+TEST(ShardedTopologyTest, SetArraySplitsAcrossShards) {
   constexpr uint64_t kN = 7;
-  ShardedBackend backend(kN, 8, 3);  // shards hold 3, 3, 1
-  ASSERT_TRUE(backend.SetArray(MakeDatabase(kN, 8)).ok());
-  EXPECT_EQ(backend.shard(0).n(), 3u);
-  EXPECT_EQ(backend.shard(2).n(), 1u);
+  std::unique_ptr<ClusterBackend> backend = MakeSharded(kN, 8, 3);
+  ASSERT_TRUE(backend->SetArray(MakeDatabase(kN, 8)).ok());
+  EXPECT_EQ(backend->leg(0)->n(), 3u);  // shards hold 3, 3, 1
+  EXPECT_EQ(backend->leg(1)->n(), 3u);
+  EXPECT_EQ(backend->leg(2)->n(), 1u);
   for (BlockId i = 0; i < kN; ++i) {
-    EXPECT_TRUE(IsMarkerBlock(backend.PeekBlock(i), i));
+    EXPECT_TRUE(IsMarkerBlock(backend->PeekBlock(i), i));
   }
   // Setup is not part of the adversary's view.
-  EXPECT_EQ(backend.transcript().TotalBlocksMoved(), 0u);
-  EXPECT_EQ(backend.SetArray(MakeDatabase(kN - 1, 8)).code(),
+  EXPECT_EQ(backend->transcript().TotalBlocksMoved(), 0u);
+  EXPECT_EQ(backend->SetArray(MakeDatabase(kN - 1, 8)).code(),
             StatusCode::kInvalidArgument);
 }
 
-TEST(ShardedBackendTest, BatchedSpanningShardsMatchesSequential) {
+TEST(ShardedTopologyTest, BatchedSpanningShardsMatchesSequential) {
   constexpr uint64_t kN = 10;
-  ShardedBackend batched(kN, 8, 3);
-  ShardedBackend sequential(kN, 8, 3);
-  ASSERT_TRUE(batched.SetArray(MakeDatabase(kN, 8)).ok());
-  ASSERT_TRUE(sequential.SetArray(MakeDatabase(kN, 8)).ok());
+  std::unique_ptr<ClusterBackend> batched = MakeSharded(kN, 8, 3);
+  std::unique_ptr<ClusterBackend> sequential = MakeSharded(kN, 8, 3);
+  ASSERT_TRUE(batched->SetArray(MakeDatabase(kN, 8)).ok());
+  ASSERT_TRUE(sequential->SetArray(MakeDatabase(kN, 8)).ok());
 
   // Spans all three shards, out of order, with duplicates.
   const std::vector<BlockId> indices = {9, 0, 4, 5, 0, 8, 2};
-  batched.BeginQuery();
-  sequential.BeginQuery();
-  auto many = batched.DownloadMany(indices);
+  batched->BeginQuery();
+  sequential->BeginQuery();
+  auto many = batched->DownloadMany(indices);
   ASSERT_TRUE(many.ok());
   std::vector<Block> singles;
   for (BlockId index : indices) {
-    auto one = sequential.Download(index);
+    auto one = sequential->Download(index);
     ASSERT_TRUE(one.ok());
     singles.push_back(*one);
   }
   EXPECT_EQ(*many, singles);
   // The top-level transcript records global addresses in request order.
-  EXPECT_EQ(batched.transcript().events(), sequential.transcript().events());
+  EXPECT_EQ(batched->transcript().events(),
+            sequential->transcript().events());
   // Batched fan-out is ONE roundtrip regardless of shards touched.
-  EXPECT_EQ(batched.roundtrip_count(), 1u);
-  EXPECT_EQ(sequential.roundtrip_count(), indices.size());
+  EXPECT_EQ(batched->roundtrip_count(), 1u);
+  EXPECT_EQ(sequential->roundtrip_count(), indices.size());
 }
 
-TEST(ShardedBackendTest, BatchedUploadRoutesAndRecords) {
+TEST(ShardedTopologyTest, BatchedUploadRoutesAndRecords) {
   constexpr uint64_t kN = 10;
-  ShardedBackend backend(kN, 8, 4);
+  std::unique_ptr<ClusterBackend> backend = MakeSharded(kN, 8, 4);
   const std::vector<BlockId> indices = {7, 1, 9};
   std::vector<Block> blocks;
   for (BlockId index : indices) blocks.push_back(MarkerBlock(50 + index, 8));
-  backend.BeginQuery();
-  ASSERT_TRUE(backend.UploadMany(indices, std::move(blocks)).ok());
+  backend->BeginQuery();
+  ASSERT_TRUE(backend->UploadMany(indices, std::move(blocks)).ok());
   for (BlockId index : indices) {
-    EXPECT_TRUE(IsMarkerBlock(backend.PeekBlock(index), 50 + index));
+    EXPECT_TRUE(IsMarkerBlock(backend->PeekBlock(index), 50 + index));
   }
-  EXPECT_EQ(backend.upload_count(), indices.size());
-  EXPECT_EQ(backend.roundtrip_count(), 0u);
+  EXPECT_EQ(backend->upload_count(), indices.size());
+  EXPECT_EQ(backend->roundtrip_count(), 0u);
 }
 
-TEST(ShardedBackendTest, CorruptRoutesToShards) {
-  ShardedBackend backend(6, 8, 2);
-  ASSERT_TRUE(backend.SetArray(MakeDatabase(6, 8)).ok());
-  backend.CorruptBlock(5);
-  EXPECT_FALSE(IsMarkerBlock(backend.PeekBlock(5), 5));
-  EXPECT_TRUE(IsMarkerBlock(backend.PeekBlock(4), 4));
+TEST(ShardedTopologyTest, CorruptRoutesToShards) {
+  std::unique_ptr<ClusterBackend> backend = MakeSharded(6, 8, 2);
+  ASSERT_TRUE(backend->SetArray(MakeDatabase(6, 8)).ok());
+  backend->CorruptBlock(5);
+  EXPECT_FALSE(IsMarkerBlock(backend->PeekBlock(5), 5));
+  EXPECT_TRUE(IsMarkerBlock(backend->PeekBlock(4), 4));
+  // Shard 1 holds global blocks [3, 6): block 5 is its local block 2.
+  EXPECT_FALSE(IsMarkerBlock(backend->leg(1)->PeekBlock(2), 5));
 }
 
-TEST(ShardedBackendTest, InjectedFaultsFailSpanningBatchesAtomically) {
+TEST(ShardedTopologyTest, InjectedFaultsFailSpanningBatchesAtomically) {
   constexpr uint64_t kN = 6;
-  ShardedBackend backend(kN, 8, 2);
-  ASSERT_TRUE(backend.SetArray(MakeDatabase(kN, 8)).ok());
-  backend.SetFailureRate(1.0);
-  EXPECT_EQ(backend.Download(0).status().code(), StatusCode::kUnavailable);
-  EXPECT_EQ(backend.DownloadMany({0, 5}).status().code(),
+  std::unique_ptr<ClusterBackend> backend = MakeSharded(kN, 8, 2);
+  ASSERT_TRUE(backend->SetArray(MakeDatabase(kN, 8)).ok());
+  backend->SetFailureRate(1.0);
+  EXPECT_EQ(backend->Download(0).status().code(), StatusCode::kUnavailable);
+  EXPECT_EQ(backend->DownloadMany({0, 5}).status().code(),
             StatusCode::kUnavailable);
   // A failed spanning write-back must leave EVERY shard untouched: faults
   // are rolled once per exchange at the sharded level, never mid-fan-out.
-  EXPECT_EQ(backend.UploadMany({0, 5}, {ZeroBlock(8), ZeroBlock(8)}).code(),
+  EXPECT_EQ(backend->UploadMany({0, 5}, {ZeroBlock(8), ZeroBlock(8)}).code(),
             StatusCode::kUnavailable);
   for (BlockId i = 0; i < kN; ++i) {
-    EXPECT_TRUE(IsMarkerBlock(backend.PeekBlock(i), i)) << i;
+    EXPECT_TRUE(IsMarkerBlock(backend->PeekBlock(i), i)) << i;
   }
-  EXPECT_EQ(backend.transcript().TotalBlocksMoved(), 0u);
-  backend.SetFailureRate(0.0);
-  EXPECT_TRUE(backend.Download(0).ok());
+  EXPECT_EQ(backend->transcript().TotalBlocksMoved(), 0u);
+  EXPECT_EQ(backend->leg(0)->transcript().TotalBlocksMoved(), 0u);
+  EXPECT_EQ(backend->leg(1)->transcript().TotalBlocksMoved(), 0u);
+  backend->SetFailureRate(0.0);
+  EXPECT_TRUE(backend->Download(0).ok());
 }
 
-TEST(ShardedBackendTest, CountingOnlyPropagatesToShards) {
-  ShardedBackend backend(6, 8, 2);
-  backend.SetTranscriptCountingOnly(true);
-  backend.BeginQuery();
-  ASSERT_TRUE(backend.DownloadMany({0, 5}).ok());
-  EXPECT_TRUE(backend.transcript().events().empty());
-  EXPECT_TRUE(backend.shard(0).transcript().events().empty());
-  EXPECT_EQ(backend.download_count(), 2u);
-  EXPECT_EQ(backend.shard(0).download_count(), 1u);
-  EXPECT_EQ(backend.shard(1).download_count(), 1u);
+TEST(ShardedTopologyTest, CountingOnlyPropagatesToShards) {
+  std::unique_ptr<ClusterBackend> backend = MakeSharded(6, 8, 2);
+  backend->SetTranscriptCountingOnly(true);
+  backend->BeginQuery();
+  ASSERT_TRUE(backend->DownloadMany({0, 5}).ok());
+  EXPECT_TRUE(backend->transcript().events().empty());
+  EXPECT_TRUE(backend->leg(0)->transcript().events().empty());
+  EXPECT_EQ(backend->download_count(), 2u);
+  EXPECT_EQ(backend->leg(0)->download_count(), 1u);
+  EXPECT_EQ(backend->leg(1)->download_count(), 1u);
 }
 
-TEST(ShardedBackendTest, FactoryProducesWorkingBackend) {
+TEST(ShardedTopologyTest, FactoryProducesWorkingBackend) {
   BackendFactory factory = ShardedBackendFactory(3);
   std::unique_ptr<StorageBackend> backend = factory(8, 16);
   ASSERT_TRUE(backend->Upload(7, MarkerBlock(7, 16)).ok());
@@ -406,8 +433,7 @@ TEST(ShardedBackendTest, FactoryProducesWorkingBackend) {
 /// misuse — a bad Wait is a caller bug, not a transport failure.
 TEST(TicketMisuseTest, EveryBackendRejectsUnknownAndConsumedTicketsAlike) {
   for (const char* name :
-       {"memory", "sharded", "async_sharded", "cached", "fused", "socket",
-        "retry"}) {
+       {"memory", "sharded", "cached", "fused", "socket", "retry"}) {
     SCOPED_TRACE(name);
     SchemeConfig config;
     config.backend = name;  // "socket" spawns an in-process pair server
